@@ -2,7 +2,8 @@
 // thermosyphon model: the evaporator's local heat-transfer coefficients
 // depend on the heat-flux distribution, which depends on the temperature
 // field, which depends on the coefficients. The coupling is resolved by a
-// damped fixed-point iteration, mirroring the co-simulation the paper runs
+// fixed-point iteration (undamped, falling back to a blend if the flux
+// change ever grows), mirroring the co-simulation the paper runs
 // between 3D-ICE and the thermosyphon framework of [8].
 package cosim
 

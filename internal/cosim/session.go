@@ -48,7 +48,29 @@ type Session struct {
 	q, qNew    []float64
 	layerPower [][]float64 // dense die-layer injection table (index 0)
 	bp         map[string]float64
+
+	// Test hooks, zero in production. linTol and fluxTol, when positive,
+	// replace couplingLinTol and the 1 % flux exit of SolveSteadyPower (a
+	// tight reference solve); noGuard disables the growth guard.
+	linTol, fluxTol float64
+	noGuard         bool
+	// guarded records whether the growth guard fired in the last solve.
+	guarded bool
 }
+
+// couplingLinTol is the relative residual every linear solve of the
+// coupling loop runs to. The loop exits on a 1 % flux change, so a 1e-10
+// solve buys digits the exit test throws away. At 1e-5, together with
+// the undamped flux update of SolveSteadyPower, the die θmax of
+// the 2048 coarse what-ifs of the repository benchmark moves by at most
+// 1.6e-3 °C from the 1e-10 answers (cooling power by 5e-5 relative), and
+// the full-load PARSEC states stay within 1e-3 °C of a tight reference
+// (TestCouplingAccuracy), while a 1000-blade fleet solve takes a third
+// of the CG iterations. It cannot go looser: a 1e-3 solve barely moves
+// the field between passes, so the flux test fires before the coupling
+// has converged, and 1949 of those 2048 answers move by more than the
+// benchmark's 1e-3 (absolute or relative) answer check.
+const couplingLinTol = 1e-5
 
 // SessionOption configures a Session at construction.
 type SessionOption func(*Session)
@@ -236,7 +258,15 @@ func (ses *Session) SolveSteadyPower(ctx context.Context, blockPower map[string]
 	if warm {
 		init = field // previous converged temperatures
 	}
+	linTol, fluxTol := couplingLinTol, 1e-2
+	if ses.linTol > 0 {
+		linTol = ses.linTol
+	}
+	if ses.fluxTol > 0 {
+		fluxTol = ses.fluxTol
+	}
 	prev := math.Inf(1)
+	ses.guarded = false
 	const maxOuter = 60
 	for it := 0; it < maxOuter; it++ {
 		if ctx != nil {
@@ -250,20 +280,34 @@ func (ses *Session) SolveSteadyPower(ctx context.Context, blockPower map[string]
 		}
 		ses.syph = syph
 		bc := thermal.TopBoundary{H: syph.H, TFluid: syph.TFluid}
-		if err := ses.ws.SteadySolveLayersInto(field, init, ses.layerPower, bc); err != nil {
+		if err := ses.ws.SteadySolveLayersTolInto(field, init, ses.layerPower, bc, linTol); err != nil {
 			return nil, ses.fail(fmt.Errorf("cosim: iteration %d: %w", it, err))
 		}
 		init = field
 		ses.qNew = field.TopHeatPerCellInto(ses.qNew, bc)
 		qNew := ses.qNew
-		// Damped update and convergence on the flux change.
-		var delta float64
+		var delta, qMax float64
 		for i := range q {
-			d := math.Abs(qNew[i] - q[i])
-			if d > delta {
+			if d := math.Abs(qNew[i] - q[i]); d > delta {
 				delta = d
 			}
-			q[i] = 0.4*q[i] + 0.6*qNew[i]
+			if qNew[i] > qMax {
+				qMax = qNew[i]
+			}
+		}
+		// Undamped update, guarded: the coupling map contracts, so the
+		// plain q = qNew converges in about half the passes of a blend.
+		// Should the flux change ever grow from one pass to the next, the
+		// rest of the solve falls back to the 0.4/0.6 blend.
+		if delta > prev && !ses.noGuard {
+			ses.guarded = true
+		}
+		if ses.guarded {
+			for i := range q {
+				q[i] = 0.4*q[i] + 0.6*qNew[i]
+			}
+		} else {
+			copy(q, qNew)
 		}
 		ses.res = Result{
 			Field:       field,
@@ -274,15 +318,11 @@ func (ses *Session) SolveSteadyPower(ctx context.Context, blockPower map[string]
 			BC:          bc,
 		}
 		// Converge when the largest per-cell flux change falls below 1 %
-		// of the largest cell flux — temperature errors are then far below
-		// the 0.1 °C the experiments care about.
-		var qMax float64
-		for _, w := range qNew {
-			if w > qMax {
-				qMax = w
-			}
-		}
-		if delta < 1e-2*qMax+1e-6 || math.Abs(delta-prev) < 1e-9 {
+		// of the largest cell flux. Against a tight reference (1e-8 flux
+		// exit, 1e-12 linear solves) that leaves die θmax within 1e-3 °C
+		// on the full-load PARSEC states at coarse and medium resolution
+		// (TestCouplingAccuracy).
+		if delta < fluxTol*qMax+1e-6 {
 			ses.warm = true
 			return &ses.res, nil
 		}

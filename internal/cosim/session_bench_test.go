@@ -26,45 +26,51 @@ func benchSystem(b *testing.B) (*System, map[string]float64, thermosyphon.Operat
 	return sys, sys.Power.BlockPowers(fullLoadState(2.2)), thermosyphon.DefaultOperating()
 }
 
+// BenchmarkCosimSession reports exact work counters next to the wall
+// time: outer/op is the coupling passes per solve and lin-iters/op the
+// linear-solver iterations per solve (the fresh path builds a throwaway
+// session per call, so it reports passes only; its iterations equal
+// session-cold's, which it matches bit for bit).
 func BenchmarkCosimSession(b *testing.B) {
 	b.Run("fresh", func(b *testing.B) {
 		sys, bp, op := benchSystem(b)
 		b.ReportAllocs()
 		b.ResetTimer()
+		var outer int
 		for i := 0; i < b.N; i++ {
-			if _, err := sys.SolveSteadyPower(bp, op); err != nil {
+			res, err := sys.SolveSteadyPower(bp, op)
+			if err != nil {
 				b.Fatal(err)
 			}
+			outer += res.Iterations
 		}
+		b.ReportMetric(float64(outer)/float64(b.N), "outer/op")
 	})
-	b.Run("session-cold", func(b *testing.B) {
-		sys, bp, op := benchSystem(b)
-		ses := sys.NewSession(CarryWarmStart(false))
-		if _, err := ses.SolveSteadyPower(nil, bp, op); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+	for _, tc := range []struct {
+		name  string
+		carry bool
+	}{{"session-cold", false}, {"session-warm", true}} {
+		b.Run(tc.name, func(b *testing.B) {
+			sys, bp, op := benchSystem(b)
+			ses := sys.NewSession(CarryWarmStart(tc.carry))
 			if _, err := ses.SolveSteadyPower(nil, bp, op); err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-	b.Run("session-warm", func(b *testing.B) {
-		sys, bp, op := benchSystem(b)
-		ses := sys.NewSession()
-		if _, err := ses.SolveSteadyPower(nil, bp, op); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := ses.SolveSteadyPower(nil, bp, op); err != nil {
-				b.Fatal(err)
+			iters0 := ses.SolverStats().Iterations
+			b.ReportAllocs()
+			b.ResetTimer()
+			var outer int
+			for i := 0; i < b.N; i++ {
+				res, err := ses.SolveSteadyPower(nil, bp, op)
+				if err != nil {
+					b.Fatal(err)
+				}
+				outer += res.Iterations
 			}
-		}
-	})
+			b.ReportMetric(float64(outer)/float64(b.N), "outer/op")
+			b.ReportMetric(float64(ses.SolverStats().Iterations-iters0)/float64(b.N), "lin-iters/op")
+		})
+	}
 }
 
 // BenchmarkCosimSessionTransient compares a transient step before and

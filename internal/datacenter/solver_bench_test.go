@@ -13,7 +13,9 @@ import (
 // loop temperatures at increasing fleet sizes. The PARSEC-like mix of 13
 // distinct blade states bounds the class count, so the cost scales with
 // classes × outer iterations, not blades — the property that makes the
-// 1000-blade point affordable.
+// 1000-blade point affordable. Next to the outer iterations and the
+// coupled blade solves it reports lin-iters/op, the linear-solver
+// iterations summed over every class session.
 func BenchmarkDatacenterSolve(b *testing.B) {
 	cfg := cosim.DefaultConfig()
 	cfg.Stack.NX, cfg.Stack.NY = 19, 15
@@ -34,7 +36,7 @@ func BenchmarkDatacenterSolve(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			var outer, solves int
+			var outer, solves, linIters int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s, err := New(sys, topo, Options{Leakage: power.DefaultLeakage()})
@@ -42,6 +44,9 @@ func BenchmarkDatacenterSolve(b *testing.B) {
 					b.Fatal(err)
 				}
 				rep, err := s.Solve(context.Background())
+				for _, c := range s.classes {
+					linIters += c.ses.SolverStats().Iterations
+				}
 				s.Close()
 				if err != nil {
 					b.Fatal(err)
@@ -54,6 +59,7 @@ func BenchmarkDatacenterSolve(b *testing.B) {
 			}
 			b.ReportMetric(float64(outer)/float64(b.N), "outer/op")
 			b.ReportMetric(float64(solves)/float64(b.N), "solves/op")
+			b.ReportMetric(float64(linIters)/float64(b.N), "lin-iters/op")
 		})
 	}
 }

@@ -22,6 +22,7 @@ func fusedFixture(t *testing.T) (*Model, *Workspace, linalg.Vector, linalg.Vecto
 	t.Helper()
 	m, power, bc := parModel(t)
 	w := m.NewWorkspace()
+	w.ensureOperator()
 	m.fillOperator(&w.op, bc, 0)
 	b, err := m.rhs(power, bc)
 	if err != nil {

@@ -36,6 +36,7 @@ func benchOperator(b *testing.B, n int) (*Model, *Workspace, linalg.Vector, lina
 	b.Helper()
 	m, power, bc := xvalModel(b, floorplan.XeonE5Package(), n, n)
 	w := m.NewWorkspace()
+	w.ensureOperator()
 	m.fillOperator(&w.op, bc, 0)
 	rhs := make(linalg.Vector, m.n)
 	if err := m.rhsInto(rhs, power, bc); err != nil {

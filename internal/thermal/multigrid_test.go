@@ -36,23 +36,21 @@ func xvalModel(t testing.TB, pg floorplan.PackageGeometry, nx, ny int) (*Model, 
 	return m, map[int][]float64{0: p}, UniformTop(m.Cells(), 6000, 32)
 }
 
-// solveWithTol runs the workspace solver path with a caller-chosen
-// tolerance, bypassing the public wrappers' fixed 1e-10 so the
+// solveWithTol runs a steady solve with a caller-chosen tolerance, so the
 // cross-validation can push all solvers to equal, tight accuracy.
 func solveWithTol(t testing.TB, m *Model, s Solver, power map[int][]float64, bc TopBoundary, tol float64) (linalg.Vector, SolveStats) {
 	t.Helper()
 	w := m.NewWorkspace()
 	w.SetSolver(s)
-	m.fillOperator(&w.op, bc, 0)
-	if err := m.rhsInto(w.rhs, power, bc); err != nil {
+	layers, err := w.layersFromMap(power)
+	if err != nil {
 		t.Fatal(err)
 	}
-	x := make(linalg.Vector, m.n)
-	x.Fill(m.Env.AmbientC)
-	if err := w.solve(x, tol, reseedAmbient); err != nil {
+	f := m.NewField()
+	if err := w.SteadySolveLayersTolInto(f, nil, layers, bc, tol); err != nil {
 		t.Fatalf("%v solve: %v", s, err)
 	}
-	return x, w.Stats()
+	return f.T, w.Stats()
 }
 
 // TestSolverCrossValidation: Jacobi-CG, MG-PCG and standalone MG must

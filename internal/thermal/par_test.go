@@ -70,6 +70,7 @@ func TestStencilKernelsByteIdenticalAcrossThreads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref.ensureOperator()
 	m.fillOperator(&ref.op, bc, 0)
 
 	x := parField(m.n)
@@ -90,6 +91,7 @@ func TestStencilKernelsByteIdenticalAcrossThreads(t *testing.T) {
 	for _, threads := range []int{2, 3, 8} {
 		w := m.NewWorkspace()
 		w.SetThreads(threads)
+		w.ensureOperator()
 		m.fillOperator(&w.op, bc, 0)
 		y := make(linalg.Vector, m.n)
 		w.op.Apply(x, y)
@@ -295,6 +297,7 @@ func BenchmarkStencilApply(b *testing.B) {
 	for _, n := range []int{128, 256} {
 		m, _, bc := xvalModel(b, floorplan.XeonE5Package(), n, n)
 		w := m.NewWorkspace()
+		w.ensureOperator()
 		m.fillOperator(&w.op, bc, 0)
 		x := parField(m.n)
 		y := make(linalg.Vector, m.n)

@@ -113,6 +113,7 @@ func BenchmarkFusedCGIteration(b *testing.B) {
 	m, power, bc := xvalModel(b, floorplan.XeonE5Package(), 128, 128)
 	w := m.NewWorkspace()
 	defer w.Close()
+	w.ensureOperator()
 	m.fillOperator(&w.op, bc, 0)
 	if err := m.rhsInto(w.rhs, power, bc); err != nil {
 		b.Fatal(err)

@@ -74,16 +74,25 @@ type Workspace struct {
 	a, b *Field
 }
 
-// NewWorkspace returns a workspace sized for the model. The field,
-// boundary, and CG buffers are allocated lazily on first use, so a
-// workspace built only to run one solve costs no more than the old
-// per-call path did.
+// NewWorkspace returns a workspace sized for the model. The operator,
+// right-hand side, field, boundary, and CG buffers are allocated lazily
+// on first use, so building a workspace allocates nothing beyond the
+// struct and a workspace built only to run one solve costs no more than
+// the old per-call path did.
 func (m *Model) NewWorkspace() *Workspace {
-	w := &Workspace{m: m}
-	w.op = m.newStencil()
+	return &Workspace{m: m}
+}
+
+// ensureOperator allocates the operator diagonals and the right-hand
+// side on first use.
+func (w *Workspace) ensureOperator() {
+	if w.rhs != nil {
+		return
+	}
+	w.op = w.m.newStencil()
+	w.op.setTeam(w.team)
 	w.pre = linalg.DiagonalPreconditioner{InvDiag: w.op.invDiag}
-	w.rhs = make(linalg.Vector, m.n)
-	return w
+	w.rhs = make(linalg.Vector, w.m.n)
 }
 
 // Model returns the model the workspace solves on.
@@ -163,6 +172,7 @@ func (w *Workspace) ensureHierarchy() error {
 	if w.hier != nil {
 		return nil
 	}
+	w.ensureOperator()
 	h, err := newHierarchy(w.m, &w.op)
 	if err != nil {
 		return err
@@ -478,8 +488,17 @@ func (w *Workspace) SteadySolveInto(dst, init *Field, powerByLayer map[int][]flo
 // dense per-layer table: layers[l] is layer l's per-cell watts (nil
 // entries inject nothing; the table may be shorter than the stack). This
 // is the hot-path form — per-step callers keep a persistent table and
-// avoid the map allocation and lookup entirely.
+// avoid the map allocation and lookup entirely. The linear solve runs to
+// relative residual 1e-10; SteadySolveLayersTolInto takes the tolerance.
 func (w *Workspace) SteadySolveLayersInto(dst, init *Field, layers [][]float64, bc TopBoundary) error {
+	return w.SteadySolveLayersTolInto(dst, init, layers, bc, 1e-10)
+}
+
+// SteadySolveLayersTolInto is SteadySolveLayersInto with the linear
+// solve's relative residual tolerance given by the caller — for outer
+// fixed points (the coupled thermosyphon loop) whose own exit test is far
+// coarser than a 1e-10 solve.
+func (w *Workspace) SteadySolveLayersTolInto(dst, init *Field, layers [][]float64, bc TopBoundary, tol float64) error {
 	m := w.m
 	if err := w.checkDst(dst); err != nil {
 		return err
@@ -487,6 +506,7 @@ func (w *Workspace) SteadySolveLayersInto(dst, init *Field, layers [][]float64, 
 	if err := m.checkBC(bc); err != nil {
 		return err
 	}
+	w.ensureOperator()
 	m.fillOperator(&w.op, bc, 0)
 	w.solveDt = 0
 	if err := m.rhsLayersInto(w.rhs, layers, bc); err != nil {
@@ -499,7 +519,7 @@ func (w *Workspace) SteadySolveLayersInto(dst, init *Field, layers [][]float64, 
 	} else {
 		dst.T.Fill(m.Env.AmbientC)
 	}
-	if err := w.solve(dst.T, 1e-10, reseedAmbient); err != nil {
+	if err := w.solve(dst.T, tol, reseedAmbient); err != nil {
 		return fmt.Errorf("thermal: steady solve: %w", err)
 	}
 	return nil
@@ -535,6 +555,7 @@ func (w *Workspace) StepTransientLayersInto(dst, prev *Field, dt float64, layers
 	if err := w.checkDst(dst); err != nil {
 		return err
 	}
+	w.ensureOperator()
 	m.fillOperator(&w.op, bc, 1/dt)
 	w.solveDt = dt
 	if err := m.rhsLayersInto(w.rhs, layers, bc); err != nil {
