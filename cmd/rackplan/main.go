@@ -34,7 +34,7 @@ func main() {
 	loops := flag.Int("loops", 1, "number of shared water loops (racks are assigned round-robin)")
 	waterC := flag.Float64("water", 27, "chiller supply setpoint at zero load (°C)")
 	resFlag := flag.String("res", "coarse", "thermal resolution: coarse|medium|full")
-	solverFlag := flag.String("solver", "cg", "thermal linear solver: cg|mgpcg|mg|mgpcg32|mgpcg-cheb (mgpcg pays off on fine grids)")
+	solverFlag := flag.String("solver", "cg", "thermal linear solver: cg|mgpcg (mgpcg pays off on fine grids)")
 	workers := flag.Int("workers", 0, "parallel blade-class solves (0 = GOMAXPROCS, 1 = serial)")
 	threads := flag.Int("threads", 0, "intra-solve threads per blade solve (0 = GOMAXPROCS, 1 = serial)")
 	faultFlag := flag.String("fault", "", "cooling-fault scenario, e.g. pump:0.5 or bladeloss:0.6:loop0:r0b0 (see internal/faults)")

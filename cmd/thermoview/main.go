@@ -29,7 +29,7 @@ func main() {
 	policy := flag.String("policy", "proposed", "policy stack: proposed|coskun|sabry")
 	resFlag := flag.String("res", "medium", "thermal resolution: coarse|medium|full")
 	format := flag.String("format", "ascii", "map output: ascii|csv|pgm|none")
-	solverFlag := flag.String("solver", "cg", "thermal linear solver: cg|mgpcg|mg|mgpcg32|mgpcg-cheb (mgpcg pays off on fine grids)")
+	solverFlag := flag.String("solver", "cg", "thermal linear solver: cg|mgpcg (mgpcg pays off on fine grids)")
 	threads := flag.Int("threads", 0, "intra-solve threads for the single solve (0 = GOMAXPROCS, 1 = serial)")
 	// Accepted for CLI parity with the other tools so existing invocations
 	// keep working; thermoview's single solve never fans out, so the value

@@ -2,6 +2,7 @@ package cosim
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/linalg"
@@ -71,7 +72,9 @@ func TestSessionErrorInvalidatesWarmStart(t *testing.T) {
 
 // TestSessionEscalationsSurfaced: a session whose solves escalate must
 // report the descents through the accessor, and the rescued solve must
-// still converge and re-arm the warm start.
+// still converge, re-arm the warm start, and leave the configured solver
+// in place. With the V-cycle poisoned, every linear solve of the coupled
+// fixed point takes the ladder's one rung, mgpcg→cg (nan), exactly once.
 func TestSessionEscalationsSurfaced(t *testing.T) {
 	sys, err := NewSystem(coarseConfig())
 	if err != nil {
@@ -80,9 +83,10 @@ func TestSessionEscalationsSurfaced(t *testing.T) {
 	op := thermosyphon.DefaultOperating()
 	st := fullLoadState(2.2)
 
-	ses := sys.NewSession(WithSolver(thermal.SolverMGPCG32))
+	ses := sys.NewSession(WithSolver(thermal.SolverMGPCG))
 	ses.ws.InjectMGFault(true)
-	if _, err := ses.SolveSteady(nil, st, op); err != nil {
+	got, err := ses.SolveSteady(nil, st, op)
+	if err != nil {
 		t.Fatalf("ladder did not rescue the poisoned session solve: %v", err)
 	}
 	if !ses.warm {
@@ -92,8 +96,35 @@ func TestSessionEscalationsSurfaced(t *testing.T) {
 	if len(esc) == 0 {
 		t.Fatal("session escalations not surfaced")
 	}
-	if ses.SolverStats().Escalations != len(esc) {
+	want := thermal.Escalation{From: thermal.SolverMGPCG, To: thermal.SolverCG, Cause: "nan"}
+	for i, e := range esc {
+		if e != want {
+			t.Fatalf("descent %d = %v, want %v", i, e, want)
+		}
+	}
+	stats := ses.SolverStats()
+	if stats.Escalations != len(esc) {
 		t.Fatalf("SolverStats().Escalations = %d but Escalations() lists %d",
-			ses.SolverStats().Escalations, len(esc))
+			stats.Escalations, len(esc))
+	}
+	// Each linear solve ran two rungs (the poisoned mgpcg, then cg), so
+	// exactly one descent per linear solve means Solves = 2·descents.
+	if stats.Solves != 2*len(esc) {
+		t.Fatalf("%d rung solves for %d descents, want exactly one descent per linear solve",
+			stats.Solves, len(esc))
+	}
+	if s := ses.ws.Solver(); s != thermal.SolverMGPCG {
+		t.Fatalf("configured solver drifted to %v, want mgpcg", s)
+	}
+
+	// The rescued answer is a cg answer: it must match a healthy cg
+	// session to well inside the coupling tolerance.
+	ref, err := sys.NewSession(WithSolver(thermal.SolverCG)).SolveSteady(nil, st, op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := math.Abs(maxT(got) - maxT(ref)); d > 1e-3 {
+		t.Fatalf("rescued die max %.6f °C differs from cg reference %.6f °C by %.3g",
+			maxT(got), maxT(ref), d)
 	}
 }

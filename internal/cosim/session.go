@@ -139,8 +139,8 @@ func (ses *Session) SolverStats() thermal.SolveStats { return ses.ws.Stats() }
 func (ses *Session) Escalations() []thermal.Escalation { return ses.ws.Escalations() }
 
 // InjectMGFault arms (or disarms) the workspace's solver fault-injection
-// hook (thermal.Workspace.InjectMGFault): while armed, multigrid-family
-// solves poison their preconditioner and the escalation ladder has to
+// hook (thermal.Workspace.InjectMGFault): while armed, mgpcg solves
+// poison their V-cycle preconditioner and the escalation ladder has to
 // rescue them. It exists for chaos drills — the thermservd chaos harness
 // sabotages leased sessions through it to prove the breaker and the
 // ladder telemetry behave under solver faults.

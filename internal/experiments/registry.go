@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/thermal"
 	"repro/internal/workload"
 )
 
@@ -367,16 +366,9 @@ func scalingSizes(res Resolution) []int {
 }
 
 func runScaling(ctx context.Context, cfg RunConfig) (*Result, error) {
-	// The scaling study always carries the {cg, mgpcg} reference pair (it
-	// exists to contrast them); a non-default cfg.Solver joins the sweep as
-	// a third column, so `-exp scaling -solver mgpcg-cheb` (or mgpcg32)
-	// puts the alternative preconditioner on the same axes as the pair it
-	// competes with instead of being silently ignored.
-	solvers := []thermal.Solver{thermal.SolverCG, thermal.SolverMGPCG}
-	if cfg.Solver != thermal.SolverCG && cfg.Solver != thermal.SolverMGPCG {
-		solvers = append(solvers, cfg.Solver)
-	}
-	cells, err := ExtResolutionScaling(ctx, cfg, scalingSizes(cfg.Resolution), solvers)
+	// The scaling study exists to contrast the two solvers, so it always
+	// runs the {cg, mgpcg} pair (the nil default) whatever cfg.Solver is.
+	cells, err := ExtResolutionScaling(ctx, cfg, scalingSizes(cfg.Resolution), nil)
 	if err != nil {
 		return nil, err
 	}

@@ -69,9 +69,9 @@ type CGResult struct {
 	// resolution-independent work unit that lets benchmarks compare
 	// solvers by effort rather than wall time. Plain CG charges one
 	// initial residual plus one per iteration; MG-PCG additionally
-	// charges each V-cycle's smoothing sweeps and residual, and MGSolve
-	// charges the same per cycle (coarser-level work is a
-	// geometric-series fraction (~⅓) on top and is not itemized).
+	// charges each V-cycle's smoothing sweeps and residual (coarser-level
+	// work is a geometric-series fraction (~⅓) on top and is not
+	// itemized).
 	Applies int
 }
 

@@ -151,14 +151,18 @@ func TestMGSolvePoisson(t *testing.T) {
 		mg := buildLap1DMG(t, n)
 		mg.Pre, mg.Post = 2, 2
 		x := make(Vector, n)
-		res, err := MGSolve(mg, b, x, MGOptions{Tol: 1e-11})
-		if err != nil {
-			t.Fatalf("n=%d: MGSolve failed after %d cycles, res %g: %v", n, res.Iterations, res.Residual, err)
+		r := make(Vector, n)
+		bNorm := b.Norm2()
+		k, rel := 0, 1.0
+		for ; rel >= 1e-11; k++ {
+			if k == 40 {
+				t.Fatalf("n=%d: residual %g after %d cycles — V-cycle convergence has degraded", n, rel, k)
+			}
+			mg.Cycle(b, x)
+			mg.levels[0].A.Residual(b, x, r)
+			rel = r.Norm2() / bNorm
 		}
-		cycles[n] = res.Iterations
-		if res.Iterations > 40 {
-			t.Fatalf("n=%d: %d cycles — V-cycle convergence has degraded", n, res.Iterations)
-		}
+		cycles[n] = k
 		for i := range want {
 			if !almostEqual(x[i], want[i], 1e-6) {
 				t.Fatalf("n=%d: x[%d]=%v want %v", n, i, x[i], want[i])

@@ -25,7 +25,7 @@ const (
 	// CauseBreakdown: the Krylov recurrence observed pᵀAp ≤ 0, i.e. the
 	// (preconditioned) operator is not symmetric positive definite along
 	// the search direction. Typical trigger: a preconditioner that lost
-	// SPD-ness (float32 rounding under extreme conductance ratios).
+	// SPD-ness.
 	CauseBreakdown
 )
 
@@ -48,11 +48,11 @@ func (c Cause) String() string {
 // ErrNotConverged, so existing callers testing
 // errors.Is(err, ErrNotConverged) keep working unchanged.
 type SolveError struct {
-	// Method is the solver that failed ("cg", "sor", "mg").
+	// Method is the solver that failed ("cg", "sor").
 	Method string
 	// Cause classifies the failure.
 	Cause Cause
-	// Iterations is the iteration (or sweep / V-cycle) count reached.
+	// Iterations is the iteration (or sweep) count reached.
 	Iterations int
 	// Residual is the final relative residual ‖r‖/‖b‖ (may be NaN for
 	// CauseNaN failures).

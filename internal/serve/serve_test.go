@@ -156,6 +156,28 @@ func TestSteadyRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// TestSteadyRejectsRemovedSolvers: the solver modes that were deleted
+// (mg, mgpcg32, mgpcg-cheb) are unknown names now, so a proposal asking
+// for one gets a 400 that names the bad value instead of a solve.
+func TestSteadyRejectsRemovedSolvers(t *testing.T) {
+	s := newTestServer(t, Config{})
+	h := s.Handler()
+	for _, name := range []string{"mg", "mgpcg32", "mgpcg-cheb"} {
+		w := post(t, h, "/v1/steady", `{"benchmark":"x264","solver":"`+name+`"}`)
+		if w.Code != http.StatusBadRequest {
+			t.Errorf("solver %q: got %d, want 400 (%s)", name, w.Code, w.Body)
+			continue
+		}
+		var body struct{ Error string }
+		if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil {
+			t.Fatalf("solver %q: undecodable 400 body %q: %v", name, w.Body, err)
+		}
+		if !strings.Contains(body.Error, fmt.Sprintf("%q", name)) {
+			t.Errorf("solver %q: error %q does not name the bad value", name, body.Error)
+		}
+	}
+}
+
 // TestSteadyConcurrentDeterminism is the service-level byte-determinism
 // contract: concurrent clients asking the same question get byte-identical
 // bodies, a recompute after memo eviction matches, and a fresh server

@@ -66,8 +66,8 @@ type SteadyRequest struct {
 	// "pump:0.5" (see internal/faults). Scoped terms resolve against
 	// loop0 / r0b0.
 	Fault string `json:"fault,omitempty"`
-	// Solver / Resolution override the server defaults: cg|mgpcg|mg|
-	// mgpcg32|mgpcg-cheb and coarse|medium|full.
+	// Solver / Resolution override the server defaults: cg|mgpcg and
+	// coarse|medium|full.
 	Solver     string `json:"solver,omitempty"`
 	Resolution string `json:"resolution,omitempty"`
 }

@@ -20,7 +20,6 @@ package thermal
 //	                 arrays are hot for the residual half), so both
 //	                 variants charge the same 14×8 B and the fused
 //	                 kernel shows up as higher MB/s.
-//	jacobi step:     b + x + y(w) + gx + gy + gz + diag + invDiag = 8×8 B
 
 import (
 	"fmt"
@@ -76,65 +75,6 @@ func BenchmarkStencilSmoothResidual(b *testing.B) {
 					}
 				})
 			}
-		}
-		w.Close()
-	}
-}
-
-// BenchmarkStencil32SmoothResidual is the float32 fused pass — the
-// V-cycle inner loop of SolverMGPCG32 — charged at its own 14×4 B/cell
-// so its MB/s lands on the same bandwidth axis: at the memory ceiling it
-// should sustain roughly the float64 kernel's MB/s while finishing cells
-// twice as fast.
-func BenchmarkStencil32SmoothResidual(b *testing.B) {
-	for _, n := range []int{128, 256} {
-		m, w, rhs, x0 := benchOperator(b, n)
-		s := stencil32From(&w.op)
-		rhs32 := make([]float32, m.n)
-		x32 := make([]float32, m.n)
-		r32 := make([]float32, m.n)
-		for i := range rhs32 {
-			rhs32[i] = float32(rhs[i])
-			x32[i] = float32(x0[i])
-		}
-		for _, threads := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%d/threads=%d", n, threads), func(b *testing.B) {
-				team := linalg.NewTeam(threads)
-				defer team.Close()
-				s.setTeam(team)
-				s.SmoothResidual(rhs32, x32, r32) // warm the team
-				b.ReportAllocs()
-				b.SetBytes(int64(m.n * 14 * 4))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					s.SmoothResidual(rhs32, x32, r32)
-				}
-			})
-		}
-		w.Close()
-	}
-}
-
-// BenchmarkChebSmooth times one degree-2 Chebyshev smoothing application
-// — two fused Jacobi steps, one barrier each — against the red-black
-// pair it replaces in SolverMGPCGCheb's V-cycle. Charged at the two
-// steps' nominal 2×8×8 B/cell.
-func BenchmarkChebSmooth(b *testing.B) {
-	for _, n := range []int{128, 256} {
-		m, w, rhs, x0 := benchOperator(b, n)
-		cheb := linalg.NewChebySmoother(&w.op, w.op.invDiag, 2)
-		x := x0.Clone()
-		for _, threads := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%d/threads=%d", n, threads), func(b *testing.B) {
-				w.SetThreads(threads)
-				cheb.Smooth(rhs, x, false) // eigenvalue setup + team warm-up
-				b.ReportAllocs()
-				b.SetBytes(int64(m.n * 2 * 8 * 8))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					cheb.Smooth(rhs, x, false)
-				}
-			})
 		}
 		w.Close()
 	}

@@ -53,9 +53,9 @@ func solveWithTol(t testing.TB, m *Model, s Solver, power map[int][]float64, bc 
 	return f.T, w.Stats()
 }
 
-// TestSolverCrossValidation: Jacobi-CG, MG-PCG and standalone MG must
-// agree on the steady field to 1e-7 max-abs on both the Broadwell (Xeon
-// E5) package and the generic scaled package.
+// TestSolverCrossValidation: Jacobi-CG and MG-PCG must agree on the
+// steady field to 1e-7 max-abs on both the Broadwell (Xeon E5) package
+// and the generic scaled package.
 func TestSolverCrossValidation(t *testing.T) {
 	spec := floorplan.DefaultGridSpec(4, 4)
 	fp, err := floorplan.Generic(spec)
@@ -74,17 +74,15 @@ func TestSolverCrossValidation(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			m, power, bc := xvalModel(t, c.pg, c.nx, c.ny)
 			ref, _ := solveWithTol(t, m, SolverCG, power, bc, 1e-12)
-			for _, s := range []Solver{SolverMGPCG, SolverMG, SolverMGPCG32, SolverMGPCGCheb} {
-				got, _ := solveWithTol(t, m, s, power, bc, 1e-12)
-				var maxAbs float64
-				for i := range ref {
-					if d := math.Abs(got[i] - ref[i]); d > maxAbs {
-						maxAbs = d
-					}
+			got, _ := solveWithTol(t, m, SolverMGPCG, power, bc, 1e-12)
+			var maxAbs float64
+			for i := range ref {
+				if d := math.Abs(got[i] - ref[i]); d > maxAbs {
+					maxAbs = d
 				}
-				if maxAbs > 1e-7 {
-					t.Errorf("%v deviates from cg by %.3g °C max-abs (want ≤ 1e-7)", s, maxAbs)
-				}
+			}
+			if maxAbs > 1e-7 {
+				t.Errorf("mgpcg deviates from cg by %.3g °C max-abs (want ≤ 1e-7)", maxAbs)
 			}
 		})
 	}
@@ -130,27 +128,24 @@ func TestMGPCGAppliesAdvantage(t *testing.T) {
 		float64(cgStats.Applies)/float64(mgStats.Applies))
 }
 
-// TestMGSolversDeterministic: for a fixed solver selection, repeated
-// solves on fresh workspaces must be byte-identical — the property the
-// pooled sweeps rely on.
+// TestMGSolversDeterministic: repeated MG-PCG solves on fresh workspaces
+// must be byte-identical — the property the pooled sweeps rely on.
 func TestMGSolversDeterministic(t *testing.T) {
 	m, power, bc := xvalModel(t, floorplan.XeonE5Package(), 38, 30)
-	for _, s := range []Solver{SolverMGPCG, SolverMG, SolverMGPCG32, SolverMGPCGCheb} {
-		a, _ := solveWithTol(t, m, s, power, bc, 1e-10)
-		b, _ := solveWithTol(t, m, s, power, bc, 1e-10)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%v: repeated solve differs at %d: %v vs %v", s, i, a[i], b[i])
-			}
+	a, _ := solveWithTol(t, m, SolverMGPCG, power, bc, 1e-10)
+	b, _ := solveWithTol(t, m, SolverMGPCG, power, bc, 1e-10)
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("repeated mgpcg solve differs at %d: %v vs %v", i, a[i], b[i])
 		}
 	}
 }
 
 // TestWorkspaceMGZeroAllocs: the warm V-cycle path (hierarchy built,
-// buffers sized) must perform zero heap allocations, for both the MG-PCG
-// and standalone-MG solvers, steady and transient.
+// buffers sized) must perform zero heap allocations, steady and
+// transient.
 func TestWorkspaceMGZeroAllocs(t *testing.T) {
-	for _, s := range []Solver{SolverMGPCG, SolverMG, SolverMGPCG32, SolverMGPCGCheb} {
+	for _, s := range []Solver{SolverMGPCG} {
 		t.Run(s.String(), func(t *testing.T) {
 			m, power, bc := workspaceFixture(t)
 			w := m.NewWorkspace()

@@ -85,8 +85,6 @@ func TestStencilKernelsByteIdenticalAcrossThreads(t *testing.T) {
 	wantSRx := x.Clone()
 	wantSRr := make(linalg.Vector, m.n)
 	ref.op.SmoothResidual(b, wantSRx, wantSRr)
-	wantJac := make(linalg.Vector, m.n)
-	ref.op.JacobiStep(b, x, wantJac, 0.7)
 
 	for _, threads := range []int{2, 3, 8} {
 		w := m.NewWorkspace()
@@ -110,11 +108,44 @@ func TestStencilKernelsByteIdenticalAcrossThreads(t *testing.T) {
 		w.op.SmoothResidual(b, srx, srr)
 		vecsEqual(t, "SmoothResidual iterate", srx, wantSRx)
 		vecsEqual(t, "SmoothResidual residual", srr, wantSRr)
-		jac := make(linalg.Vector, m.n)
-		w.op.JacobiStep(b, x, jac, 0.7)
-		vecsEqual(t, "JacobiStep", jac, wantJac)
 		w.Close()
 	}
+}
+
+// fusedFixture assembles a filled steady operator plus rhs and a
+// non-trivial iterate on the odd-sized parallel fixture.
+func fusedFixture(t *testing.T) (*Model, *Workspace, linalg.Vector, linalg.Vector) {
+	t.Helper()
+	m, power, bc := parModel(t)
+	w := m.NewWorkspace()
+	w.ensureOperator()
+	m.fillOperator(&w.op, bc, 0)
+	b, err := m.rhs(power, bc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, w, b, parField(m.n)
+}
+
+// TestFusedSmoothResidualMatchesUnfused is the FusedSmoother contract:
+// SmoothResidual must produce exactly the bytes of Smooth(b, x, false)
+// followed by Residual(b, x, r) — serial and at several team widths.
+func TestFusedSmoothResidualMatchesUnfused(t *testing.T) {
+	m, w, b, x0 := fusedFixture(t)
+	wantX := x0.Clone()
+	w.op.Smooth(b, wantX, false)
+	wantR := make(linalg.Vector, m.n)
+	w.op.Residual(b, wantX, wantR)
+
+	for _, threads := range []int{1, 3, 8} {
+		w.SetThreads(threads)
+		x := x0.Clone()
+		r := make(linalg.Vector, m.n)
+		w.op.SmoothResidual(b, x, r)
+		vecsEqual(t, "fused iterate", x, wantX)
+		vecsEqual(t, "fused residual", r, wantR)
+	}
+	w.Close()
 }
 
 // TestSolvesByteIdenticalAcrossThreads runs the steady and transient
@@ -124,7 +155,7 @@ func TestStencilKernelsByteIdenticalAcrossThreads(t *testing.T) {
 // stencil and the layer-slab multigrid transfers together.
 func TestSolvesByteIdenticalAcrossThreads(t *testing.T) {
 	m, power, bc := parModel(t)
-	for _, solver := range []Solver{SolverCG, SolverMGPCG, SolverMG, SolverMGPCG32, SolverMGPCGCheb} {
+	for _, solver := range []Solver{SolverCG, SolverMGPCG} {
 		ref := m.NewWorkspace()
 		ref.SetSolver(solver)
 		steady := ref.FieldA()

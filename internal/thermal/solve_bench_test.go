@@ -80,7 +80,7 @@ func BenchmarkSteadySolve(b *testing.B) {
 func BenchmarkSteadySolveSize(b *testing.B) {
 	for _, n := range []int{64, 128, 256} {
 		m, power, bc := xvalModel(b, floorplan.XeonE5Package(), n, n)
-		for _, s := range []Solver{SolverCG, SolverMGPCG, SolverMGPCG32, SolverMGPCGCheb} {
+		for _, s := range []Solver{SolverCG, SolverMGPCG} {
 			for _, threads := range []int{1, 2, 4, 8} {
 				b.Run(fmt.Sprintf("%d/%s/threads=%d", n, s, threads), func(b *testing.B) {
 					w := m.NewWorkspace()
@@ -145,7 +145,7 @@ func BenchmarkFusedCGIteration(b *testing.B) {
 func BenchmarkMGVCycle(b *testing.B) {
 	m, power, bc := xvalModel(b, floorplan.XeonE5Package(), 128, 128)
 	w := m.NewWorkspace()
-	w.SetSolver(SolverMG)
+	w.SetSolver(SolverMGPCG)
 	f := w.FieldA()
 	if err := w.SteadySolveInto(f, nil, power, bc); err != nil { // build + warm the hierarchy
 		b.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 
 	"repro/internal/linalg"
 )
@@ -29,25 +30,16 @@ type Workspace struct {
 	cg  linalg.CGWorkspace
 
 	// solver selects the linear solver; hier is the multigrid ladder the
-	// MG and MG-PCG solvers use, built lazily on their first solve (the
-	// default CG path never pays for it). hier32 mirrors it in float32 for
-	// SolverMGPCG32; mgCheb/chebs are the Chebyshev-smoothed V-cycle of
-	// SolverMGPCGCheb over the same float64 ladder.
+	// MG-PCG solver uses, built lazily on its first solve (the default CG
+	// path never pays for it).
 	solver Solver
 	hier   *hierarchy
-	hier32 *hierarchy32
-	mgCheb *linalg.Multigrid
-	chebs  []*linalg.ChebySmoother
-	// chebDt is the capacitive regime (0 = steady, else the transient dt)
-	// the Chebyshev eigenvalue estimates were made in; solveDt is the
-	// current solve's regime. When they differ the estimates are reset —
-	// the capacitive diagonal term C/dt shifts the spectrum of D⁻¹A enough
-	// that an interval fitted to one regime can exclude the other's λmax.
-	chebDt  float64
-	solveDt float64
 
 	// team is the intra-solve worker team SetThreads owns; threads is the
-	// configured width (0 = never set, serial).
+	// configured width (0 = never set, serial). teamMu serialises team
+	// ownership (SetThreads, Close, wireTeam) so that concurrent Close
+	// calls tear the team down exactly once.
+	teamMu  sync.Mutex
 	team    *linalg.Team
 	threads int
 
@@ -99,9 +91,9 @@ func (w *Workspace) ensureOperator() {
 func (w *Workspace) Model() *Model { return w.m }
 
 // SetSolver selects the linear solver for subsequent solves. The zero
-// value SolverCG is the historical Jacobi-CG path; SolverMGPCG and
-// SolverMG route through the geometric multigrid hierarchy, which is
-// built once on first use and reused (allocation-free) afterwards.
+// value SolverCG is the historical Jacobi-CG path; SolverMGPCG routes
+// through the geometric multigrid hierarchy, which is built once on first
+// use and reused (allocation-free) afterwards.
 func (w *Workspace) SetSolver(s Solver) { w.solver = s }
 
 // Solver returns the workspace's selected linear solver.
@@ -118,6 +110,8 @@ func (w *Workspace) SetThreads(n int) {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
+	w.teamMu.Lock()
+	defer w.teamMu.Unlock()
 	if n == w.threads {
 		return
 	}
@@ -138,23 +132,24 @@ func (w *Workspace) Threads() int {
 
 // Close releases the workspace's worker team. The workspace stays usable
 // afterwards — solves simply run serially (with identical results).
-// Close is idempotent: a second Close finds a nil team and is a no-op.
+// Close is idempotent and safe to call concurrently with itself: a second
+// Close finds a nil team and is a no-op.
 func (w *Workspace) Close() {
+	w.teamMu.Lock()
+	defer w.teamMu.Unlock()
 	w.team.Close()
 	w.team = nil
 	w.threads = 0
 	w.wireTeam()
 }
 
-// wireTeam points every kernel owner at the current team.
+// wireTeam points every kernel owner at the current team. The caller
+// holds teamMu.
 func (w *Workspace) wireTeam() {
 	w.op.setTeam(w.team)
 	w.cg.SetTeam(w.team)
 	if w.hier != nil {
 		w.hier.setTeam(w.team)
-	}
-	if w.hier32 != nil {
-		w.hier32.setTeam(w.team)
 	}
 }
 
@@ -163,7 +158,7 @@ func (w *Workspace) wireTeam() {
 func (w *Workspace) Stats() SolveStats { return w.stats }
 
 // LastSolve returns the convergence report of the most recent linear
-// solve (iterations are V-cycles for SolverMG).
+// solve.
 func (w *Workspace) LastSolve() linalg.CGResult { return w.last }
 
 // ensureHierarchy lazily builds the multigrid ladder over the
@@ -179,56 +174,6 @@ func (w *Workspace) ensureHierarchy() error {
 	}
 	h.setTeam(w.team)
 	w.hier = h
-	return nil
-}
-
-// ensureHierarchy32 lazily mirrors the multigrid ladder in float32.
-func (w *Workspace) ensureHierarchy32() error {
-	if w.hier32 != nil {
-		return nil
-	}
-	if err := w.ensureHierarchy(); err != nil {
-		return err
-	}
-	h32, err := newHierarchy32(w.hier)
-	if err != nil {
-		return err
-	}
-	h32.setTeam(w.team)
-	w.hier32 = h32
-	return nil
-}
-
-// ensureCheb lazily builds the Chebyshev-smoothed V-cycle over the
-// float64 ladder: every level but the coarsest swaps red-black
-// Gauss-Seidel for a degree-2 Chebyshev polynomial smoother wrapping the
-// same stencil (the smoothers alias the stencils' inverse diagonals, so
-// per-solve refreshes flow through). The coarsest level keeps plain
-// Gauss-Seidel — there the V-cycle runs an exhaustive symmetric solve,
-// not smoothing, and GS converges faster per sweep.
-func (w *Workspace) ensureCheb() error {
-	if w.mgCheb != nil {
-		return nil
-	}
-	if err := w.ensureHierarchy(); err != nil {
-		return err
-	}
-	mls := make([]linalg.MGLevel, len(w.hier.levels))
-	for i, lv := range w.hier.levels {
-		if lv.down != nil {
-			c := linalg.NewChebySmoother(lv.st, lv.st.invDiag, 2)
-			w.chebs = append(w.chebs, c)
-			mls[i] = linalg.MGLevel{A: c, Down: lv.down}
-		} else {
-			mls[i] = linalg.MGLevel{A: lv.st}
-		}
-	}
-	mg, err := linalg.NewMultigrid(mls)
-	if err != nil {
-		return err
-	}
-	w.mgCheb = mg
-	w.chebDt = -1 // force eigenvalue setup on the first solve
 	return nil
 }
 
@@ -280,9 +225,9 @@ func (w *Workspace) Escalations() []Escalation {
 }
 
 // InjectMGFault arms (or disarms) the fault-injection hook: while armed,
-// every multigrid-family preconditioner is wrapped so its output is
-// NaN-poisoned, forcing the MG rungs of the escalation ladder to fail and
-// the solve to degrade to the terminal Jacobi-CG rung. Test/demo knob for
+// the V-cycle preconditioner is wrapped so its output is NaN-poisoned,
+// forcing the mgpcg rung of the escalation ladder to fail and the solve
+// to degrade to the terminal Jacobi-CG rung. Test/demo knob for
 // proving the ladder works; it never changes the converged answer, only
 // which solver produces it.
 func (w *Workspace) InjectMGFault(on bool) { w.poisonMG = on }
@@ -338,64 +283,25 @@ func (w *Workspace) solve(x linalg.Vector, tol float64, rm reseedMode) error {
 	}
 }
 
-// solveWith runs one ladder rung: solver s on the assembled system. The
-// multigrid path re-derives its coarse diagonals from whatever
+// solveWith runs one ladder rung: CG on the assembled system, Jacobi
+// preconditioned for SolverCG and V-cycle preconditioned for SolverMGPCG.
+// The multigrid path re-derives its coarse diagonals from whatever
 // fillOperator assembled, so steady and transient systems need no extra
 // plumbing here.
 func (w *Workspace) solveWith(s Solver, x linalg.Vector, tol float64) error {
-	var (
-		res linalg.CGResult
-		err error
-	)
-	switch s {
-	case SolverMGPCG, SolverMG:
-		if err = w.ensureHierarchy(); err != nil {
+	var pre linalg.Preconditioner = &w.pre
+	if s == SolverMGPCG {
+		if err := w.ensureHierarchy(); err != nil {
 			return err
 		}
 		w.hier.refresh()
-		if s == SolverMG {
-			res, err = linalg.MGSolve(w.hier.mg, w.rhs, x, linalg.MGOptions{Tol: tol, MaxCycles: 300})
-		} else {
-			res, err = linalg.CGWith(&w.op, w.rhs, x, linalg.CGOptions{
-				Tol:     tol,
-				MaxIter: 40 * w.m.n,
-				Precond: w.precond(w.hier.mg),
-			}, &w.cg)
-		}
-	case SolverMGPCG32:
-		if err = w.ensureHierarchy32(); err != nil {
-			return err
-		}
-		w.hier.refresh()
-		w.hier32.refresh()
-		res, err = linalg.CGWith(&w.op, w.rhs, x, linalg.CGOptions{
-			Tol:     tol,
-			MaxIter: 40 * w.m.n,
-			Precond: w.precond(w.hier32.mg),
-		}, &w.cg)
-	case SolverMGPCGCheb:
-		if err = w.ensureCheb(); err != nil {
-			return err
-		}
-		w.hier.refresh()
-		if w.solveDt != w.chebDt {
-			for _, c := range w.chebs {
-				c.Reset()
-			}
-			w.chebDt = w.solveDt
-		}
-		res, err = linalg.CGWith(&w.op, w.rhs, x, linalg.CGOptions{
-			Tol:     tol,
-			MaxIter: 40 * w.m.n,
-			Precond: w.precond(w.mgCheb),
-		}, &w.cg)
-	default:
-		res, err = linalg.CGWith(&w.op, w.rhs, x, linalg.CGOptions{
-			Tol:     tol,
-			MaxIter: 40 * w.m.n,
-			Precond: &w.pre,
-		}, &w.cg)
+		pre = w.mgPrecond()
 	}
+	res, err := linalg.CGWith(&w.op, w.rhs, x, linalg.CGOptions{
+		Tol:     tol,
+		MaxIter: 40 * w.m.n,
+		Precond: pre,
+	}, &w.cg)
 	w.last = res
 	w.stats.Solves++
 	w.stats.Iterations += res.Iterations
@@ -403,14 +309,14 @@ func (w *Workspace) solveWith(s Solver, x linalg.Vector, tol float64) error {
 	return err
 }
 
-// precond returns the multigrid-family preconditioner to hand CG, wrapped
-// with the NaN poisoner when InjectMGFault armed it. The terminal Jacobi
-// rung never routes through here, so it stays fault-free by construction.
-func (w *Workspace) precond(mg linalg.Preconditioner) linalg.Preconditioner {
+// mgPrecond returns the V-cycle preconditioner to hand CG, wrapped with
+// the NaN poisoner when InjectMGFault armed it. The terminal Jacobi rung
+// never routes through here, so it stays fault-free by construction.
+func (w *Workspace) mgPrecond() linalg.Preconditioner {
 	if !w.poisonMG {
-		return mg
+		return w.hier.mg
 	}
-	w.poison.inner = mg
+	w.poison.inner = w.hier.mg
 	return &w.poison
 }
 
@@ -508,7 +414,6 @@ func (w *Workspace) SteadySolveLayersTolInto(dst, init *Field, layers [][]float6
 	}
 	w.ensureOperator()
 	m.fillOperator(&w.op, bc, 0)
-	w.solveDt = 0
 	if err := m.rhsLayersInto(w.rhs, layers, bc); err != nil {
 		return err
 	}
@@ -557,7 +462,6 @@ func (w *Workspace) StepTransientLayersInto(dst, prev *Field, dt float64, layers
 	}
 	w.ensureOperator()
 	m.fillOperator(&w.op, bc, 1/dt)
-	w.solveDt = dt
 	if err := m.rhsLayersInto(w.rhs, layers, bc); err != nil {
 		return err
 	}

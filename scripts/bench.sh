@@ -34,11 +34,10 @@ raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
 # The canonical benchmark set: solver and session hot paths, the fused
-# and Chebyshev smoother kernels with the STREAM triad they are judged
-# against, the nested datacenter fleet solve, the thermservd service
+# smoother kernel with the STREAM triad it is judged against, the nested datacenter fleet solve, the thermservd service
 # tiers and load runs (internal packages) plus the sweep engine (root
 # package).
-go test -run=NONE -bench='Solve|Session|MG|Stencil|Fused|Cheb|Triad|Datacenter|Serve' -benchtime="$BENCHTIME" -benchmem \
+go test -run=NONE -bench='Solve|Session|MG|Stencil|Fused|Triad|Datacenter|Serve' -benchtime="$BENCHTIME" -benchmem \
 	./internal/thermal ./internal/cosim ./internal/linalg ./internal/datacenter ./internal/serve | tee "$raw"
 go test -run=NONE -bench='Sweep' -benchtime="$BENCHTIME" -benchmem . | tee -a "$raw"
 
