@@ -1,7 +1,7 @@
 // Command thermservd is the thermal digital-twin daemon: a long-running
-// HTTP/JSON service over the warm solve stack, with session leasing,
-// response memoization, bounded admission (429 backpressure), circuit
-// breaking, crash-safe transient checkpointing, and graceful drain on
+// HTTP/JSON service over the warm solve stack, with response
+// memoization, bounded admission (429 backpressure), circuit breaking,
+// crash-safe transient checkpointing, and graceful drain on
 // SIGTERM/SIGINT.
 //
 // Usage:
@@ -52,10 +52,8 @@ type options struct {
 	Workers         int
 	Threads         int
 	Queue           int
-	Sessions        int
 	Memo            int
 	Transients      int
-	Carry           bool
 	Timeout         time.Duration
 	DrainWait       time.Duration
 	CheckpointPath  string
@@ -71,10 +69,8 @@ func main() {
 	flag.IntVar(&o.Workers, "workers", 0, "max concurrent solves (0 = auto split of GOMAXPROCS)")
 	flag.IntVar(&o.Threads, "threads", 0, "threads per solve session (0 = auto split)")
 	flag.IntVar(&o.Queue, "queue", 0, "admission queue depth before 429 (0 = 2×workers)")
-	flag.IntVar(&o.Sessions, "sessions", 0, "warm session cache capacity (0 = 64)")
 	flag.IntVar(&o.Memo, "memo", 0, "response memo capacity (0 = 4096)")
 	flag.IntVar(&o.Transients, "transients", 0, "max registered transient blades (0 = 16)")
-	flag.BoolVar(&o.Carry, "carry", false, "carry warm starts across solves on a session (faster nearby re-solves, recomputed bodies only tolerance-identical)")
 	flag.DurationVar(&o.Timeout, "timeout", 0, "per-request solve deadline (0 = none), e.g. 30s")
 	flag.DurationVar(&o.DrainWait, "drain", 30*time.Second, "max wait for in-flight requests on shutdown")
 	flag.StringVar(&o.CheckpointPath, "checkpoint", "", "transient checkpoint file (empty = checkpointing off); snapshots on drain and on POST /v1/checkpoint")
@@ -109,10 +105,8 @@ func run(o options, ready chan<- string) error {
 		Workers:         o.Workers,
 		Threads:         o.Threads,
 		QueueDepth:      o.Queue,
-		Sessions:        o.Sessions,
 		MemoEntries:     o.Memo,
 		Transients:      o.Transients,
-		CarryWarmStart:  o.Carry,
 		RequestTimeout:  o.Timeout,
 		CheckpointPath:  o.CheckpointPath,
 		CheckpointEvery: o.CheckpointEvery,

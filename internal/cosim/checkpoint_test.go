@@ -94,7 +94,7 @@ func TestTransientExportImportExact(t *testing.T) {
 }
 
 // TestTransientImportValidation exercises the ImportState guard rails: a
-// state from a different grid, a poisoned field, and a negative time are
+// state from a different grid, a corrupted field, and a negative time are
 // all refused without touching the sim.
 func TestTransientImportValidation(t *testing.T) {
 	sys, err := NewSystem(coarseConfig())

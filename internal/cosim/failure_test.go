@@ -36,10 +36,10 @@ func TestSessionErrorInvalidatesWarmStart(t *testing.T) {
 	ses.ws.InjectMGFault(true)
 	_, err = ses.SolveSteady(nil, st, op)
 	if err == nil {
-		t.Fatal("poisoned solve succeeded")
+		t.Fatal("corrupted solve succeeded")
 	}
 	if !errors.Is(err, linalg.ErrNotConverged) {
-		t.Fatalf("poisoned solve error %v does not unwrap to ErrNotConverged", err)
+		t.Fatalf("corrupted solve error %v does not unwrap to ErrNotConverged", err)
 	}
 	if ses.warm {
 		t.Fatal("failed solve left the warm-start carry armed")
@@ -73,7 +73,7 @@ func TestSessionErrorInvalidatesWarmStart(t *testing.T) {
 // TestSessionEscalationsSurfaced: a session whose solves escalate must
 // report the descents through the accessor, and the rescued solve must
 // still converge, re-arm the warm start, and leave the configured solver
-// in place. With the V-cycle poisoned, every linear solve of the coupled
+// in place. With the V-cycle corrupted, every linear solve of the coupled
 // fixed point takes the ladder's one rung, mgpcg→cg (nan), exactly once.
 func TestSessionEscalationsSurfaced(t *testing.T) {
 	sys, err := NewSystem(coarseConfig())
@@ -87,7 +87,7 @@ func TestSessionEscalationsSurfaced(t *testing.T) {
 	ses.ws.InjectMGFault(true)
 	got, err := ses.SolveSteady(nil, st, op)
 	if err != nil {
-		t.Fatalf("ladder did not rescue the poisoned session solve: %v", err)
+		t.Fatalf("ladder did not rescue the corrupted session solve: %v", err)
 	}
 	if !ses.warm {
 		t.Fatal("rescued solve did not re-arm the warm start")
@@ -107,7 +107,7 @@ func TestSessionEscalationsSurfaced(t *testing.T) {
 		t.Fatalf("SolverStats().Escalations = %d but Escalations() lists %d",
 			stats.Escalations, len(esc))
 	}
-	// Each linear solve ran two rungs (the poisoned mgpcg, then cg), so
+	// Each linear solve ran two rungs (the corrupted mgpcg, then cg), so
 	// exactly one descent per linear solve means Solves = 2·descents.
 	if stats.Solves != 2*len(esc) {
 		t.Fatalf("%d rung solves for %d descents, want exactly one descent per linear solve",

@@ -119,10 +119,10 @@ func WithThreads(n int) SessionOption {
 // always nil.
 //
 // Close is idempotent: closing an already-closed session is a no-op.
-// That is a load-bearing guarantee, not a convenience — the thermservd
-// lease manager's LRU-eviction path and its drain path can both reach the
-// same cached session, and the loser of that race must not corrupt the
-// worker team the winner already tore down.
+// That is a load-bearing guarantee, not a convenience — thermservd's
+// transient-blade registry retires sessions from both its remove path and
+// its drain-time closeAll, which race each other, and a second Close must
+// not corrupt the worker team the first one already tore down.
 func (ses *Session) Close() error {
 	ses.ws.Close()
 	return nil
@@ -142,7 +142,7 @@ func (ses *Session) Escalations() []thermal.Escalation { return ses.ws.Escalatio
 // hook (thermal.Workspace.InjectMGFault): while armed, mgpcg solves
 // poison their V-cycle preconditioner and the escalation ladder has to
 // rescue them. It exists for chaos drills — the thermservd chaos harness
-// sabotages leased sessions through it to prove the breaker and the
+// sabotages a request's session through it to prove the breaker and the
 // ladder telemetry behave under solver faults.
 func (ses *Session) InjectMGFault(on bool) { ses.ws.InjectMGFault(on) }
 
@@ -158,7 +158,7 @@ func (ses *Session) Design() *thermosyphon.Design {
 // fail invalidates the warm-start carry and passes err through: after any
 // failed solve the carried field/flux may be half-converged or
 // NaN-contaminated, so the next solve on this session must start cold
-// rather than warm-start from poisoned state.
+// rather than warm-start from corrupted state.
 func (ses *Session) fail(err error) error {
 	ses.warm = false
 	return err

@@ -355,9 +355,9 @@ func maxT(r *Result) float64 {
 }
 
 // TestSessionCloseIdempotent: Close must be a no-op the second time, and
-// must be safe in any interleaving with eviction — the thermservd lease
-// manager's LRU-eviction path and drain path can both close the same
-// cached session. A closed session must also stay usable (serially) and
+// must be safe in any interleaving — thermservd's transient-blade
+// registry can close the same session from its remove path and its drain
+// path. A closed session must also stay usable (serially) and
 // keep returning byte-identical results.
 func TestSessionCloseIdempotent(t *testing.T) {
 	sys, err := NewSystem(coarseConfig())
@@ -385,7 +385,7 @@ func TestSessionCloseIdempotent(t *testing.T) {
 		t.Fatalf("solve after Close differs: %v vs %v", got, maxBefore)
 	}
 	// And concurrent double-close must be race-free (exercised under
-	// -race): the two paths of the lease manager can collide.
+	// -race): the registry's two close paths can collide.
 	ses2 := sys.NewSession(WithThreads(2))
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {

@@ -20,6 +20,7 @@ import (
 // and are overwritten by the next Step.
 type TransientSim struct {
 	sys    *System
+	design *thermosyphon.Design // the session's, honoring WithDesign
 	ws     *thermal.Workspace
 	op     thermosyphon.Operating
 	field  *thermal.Field
@@ -61,6 +62,7 @@ func (ses *Session) Transient(op thermosyphon.Operating, initialC float64) (*Tra
 	sys := ses.sys
 	ts := &TransientSim{
 		sys:        sys,
+		design:     ses.Design(),
 		ws:         ses.ws,
 		op:         op,
 		field:      ses.ws.FieldB(),
@@ -68,7 +70,7 @@ func (ses *Session) Transient(op thermosyphon.Operating, initialC float64) (*Tra
 	}
 	ts.field.T.Fill(initialC)
 	// Bootstrap the boundary with a near-idle thermosyphon state.
-	syph, err := sys.Design.Evaporate(sys.Thermal.Grid(), make([]float64, sys.Thermal.Cells()), op)
+	syph, err := ts.design.Evaporate(sys.Thermal.Grid(), make([]float64, sys.Thermal.Cells()), op)
 	if err != nil {
 		return nil, err
 	}
@@ -133,7 +135,7 @@ func (ts *TransientSim) Step(dt float64, blockPower map[string]float64) error {
 	if ts.LoopTau > 0 {
 		// Loop inertia: find the quasi-static flow target, relax the
 		// actual flow toward it, and evaluate the evaporator there.
-		target, err := ts.sys.Design.EvaporateInto(ts.target, ts.sys.Thermal.Grid(), q, ts.op)
+		target, err := ts.design.EvaporateInto(ts.target, ts.sys.Thermal.Grid(), q, ts.op)
 		if err != nil {
 			return err
 		}
@@ -143,9 +145,9 @@ func (ts *TransientSim) Step(dt float64, blockPower map[string]float64) error {
 		}
 		alpha := dt / (ts.LoopTau + dt)
 		ts.mdot += alpha * (target.Loop.MassFlowKgS - ts.mdot)
-		syph, err2 = ts.sys.Design.EvaporateAtInto(ts.syph, ts.sys.Thermal.Grid(), q, ts.op, ts.mdot)
+		syph, err2 = ts.design.EvaporateAtInto(ts.syph, ts.sys.Thermal.Grid(), q, ts.op, ts.mdot)
 	} else {
-		syph, err2 = ts.sys.Design.EvaporateInto(ts.syph, ts.sys.Thermal.Grid(), q, ts.op)
+		syph, err2 = ts.design.EvaporateInto(ts.syph, ts.sys.Thermal.Grid(), q, ts.op)
 	}
 	if err2 != nil {
 		return err2

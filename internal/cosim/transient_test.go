@@ -183,3 +183,56 @@ func TestEvaporateAtValidation(t *testing.T) {
 		t.Fatal("zero pinned flow must error")
 	}
 }
+
+// TestTransientHonorsWithDesign: a transient sim on a session with a
+// WithDesign override must evaporate with that design, step for step
+// bit-identical to a sim on a System built with it, and must differ from
+// the healthy loop — with and without loop inertia.
+func TestTransientHonorsWithDesign(t *testing.T) {
+	fouled := thermosyphon.DefaultDesign()
+	fouled.CondenserUA *= 0.3
+	healthySys, err := NewSystem(coarseConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fouledCfg := coarseConfig()
+	fouledCfg.Design = fouled
+	fouledSys, err := NewSystem(fouledCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op := thermosyphon.DefaultOperating()
+	bp := healthySys.Power.BlockPowers(fullLoadState(2.5))
+	for _, tau := range []float64{0, 2} {
+		start := func(ses *Session) *TransientSim {
+			sim, err := ses.Transient(op, 30)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim.LoopTau = tau
+			return sim
+		}
+		override := start(healthySys.NewSession(WithDesign(fouled)))
+		built := start(fouledSys.NewSession())
+		healthy := start(healthySys.NewSession())
+		differs := false
+		for i := 0; i < 20; i++ {
+			for _, sim := range []*TransientSim{override, built, healthy} {
+				if err := sim.Step(0.25, bp); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for c, v := range override.Field().T {
+				if v != built.Field().T[c] {
+					t.Fatalf("tau=%g step %d cell %d: WithDesign sim %v, fouled-System sim %v", tau, i, c, v, built.Field().T[c])
+				}
+				if v != healthy.Field().T[c] {
+					differs = true
+				}
+			}
+		}
+		if !differs {
+			t.Fatalf("tau=%g: WithDesign(fouled) sim matches the healthy sim bit for bit", tau)
+		}
+	}
+}

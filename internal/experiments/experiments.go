@@ -141,7 +141,7 @@ func At(res Resolution) RunConfig { return RunConfig{Resolution: res} }
 // 8 workers × 1 thread, a 2-point study runs 2 workers × 4 threads.
 //
 // Beyond the sweep studies, this is the one budget rule every consumer of
-// the solve stack shares: the thermservd lease manager resolves its
+// the solve stack shares: thermservd resolves its
 // concurrent-solve bound (Workers) and per-session team width (Threads)
 // through the same split, so a daemon and a batch sweep divide a machine
 // identically.

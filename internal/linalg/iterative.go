@@ -220,7 +220,7 @@ func CGWith(a Operator, b, x Vector, opt CGOptions, ws *CGWorkspace) (CGResult, 
 	res.Residual = r.Norm2() / bNorm
 	if badFloat(res.Residual) {
 		// NaN/Inf before the first iteration: the initial guess (typically
-		// a warm-start seed) or b itself is poisoned.
+		// a warm-start seed) or b itself is corrupted.
 		return res, failure("cg", CauseNaN, res)
 	}
 	if res.Residual < opt.Tol {
@@ -247,7 +247,7 @@ func CGWith(a Operator, b, x Vector, opt CGOptions, ws *CGWorkspace) (CGResult, 
 		res.Applies++
 		pap := ws.dot(p, ap)
 		if badFloat(pap) {
-			// A NaN/Inf reached the recurrence (overflow, or a poisoned
+			// A NaN/Inf reached the recurrence (overflow, or a corrupted
 			// preconditioner output last iteration); the iterate is unusable.
 			return res, failure("cg", CauseNaN, res)
 		}

@@ -9,7 +9,7 @@ import (
 // The distinction matters to callers: a MaxIter failure means "needs more
 // work or a better preconditioner" (retrying the same solver is
 // pointless but the iterate is still meaningful), while NaN and Breakdown
-// mean the iterate is poisoned and any warm-start state derived from it
+// mean the iterate is corrupted and any warm-start state derived from it
 // must be discarded before retrying on a safer solver.
 type Cause int
 
@@ -19,7 +19,7 @@ const (
 	// met. The final iterate is the best approximation produced.
 	CauseMaxIter Cause = iota
 	// CauseNaN: a NaN or Inf contaminated the recurrence (overflow, a
-	// poisoned warm-start seed, or a fault-injected preconditioner). The
+	// corrupted warm-start seed, or a fault-injected preconditioner). The
 	// iterate is unusable.
 	CauseNaN
 	// CauseBreakdown: the Krylov recurrence observed pᵀAp ≤ 0, i.e. the
@@ -79,5 +79,5 @@ func failure(method string, cause Cause, res CGResult) error {
 	return &SolveError{Method: method, Cause: cause, Iterations: res.Iterations, Residual: res.Residual}
 }
 
-// badFloat reports a NaN or Inf — the sentinel of a poisoned iterate.
+// badFloat reports a NaN or Inf — the sentinel of a corrupted iterate.
 func badFloat(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }

@@ -7,6 +7,18 @@ import (
 	"time"
 )
 
+// classKey identifies a proposal class: everything that shapes the
+// system and its solver, excluding the per-request operating point (water
+// temperature/flow, power levels). Each class has its own circuit
+// breaker.
+type classKey struct {
+	floorplan  string
+	mapping    string
+	solver     string
+	resolution string
+	fault      string
+}
+
 // breakerState is one circuit-breaker position. The machine is the
 // classic three-state one: closed (requests flow, consecutive bad
 // outcomes counted), open (requests refused with 503 + Retry-After until
@@ -37,7 +49,7 @@ type breakerOutcome int
 
 const (
 	// outcomeNeutral: the solve never ran or was cut short through no
-	// fault of the solver (admission refusal, lease failure, client
+	// fault of the solver (admission refusal, session-build failure, client
 	// cancellation or deadline). It releases a probe slot without counting
 	// for or against the breaker.
 	outcomeNeutral breakerOutcome = iota
@@ -46,7 +58,7 @@ const (
 	outcomeBad
 )
 
-// breaker is the per-lease-key trip state. A "bad" outcome is a solver
+// breaker is the per-class trip state. A "bad" outcome is a solver
 // failure or a solve the escalation ladder had to rescue — an escalation
 // storm on a key is a leading indicator that its sessions are expensive
 // or about to fail, so consecutive escalated solves trip the breaker
@@ -71,7 +83,7 @@ type breaker struct {
 // tickets, an early return between admit and observe wedged the key's
 // breaker in probing state forever.
 type breakerTicket struct {
-	key     leaseKey
+	key     classKey
 	gen     uint64
 	probe   bool
 	settled bool
@@ -94,12 +106,12 @@ type BreakerStats struct {
 	Tripped  []BreakerInfo `json:"tripped,omitempty"`
 }
 
-// breakerSet owns one breaker per lease key. Keys whose breaker returns
+// breakerSet owns one breaker per proposal class. Keys whose breaker returns
 // to a clean closed state are pruned, so the map tracks only keys with
 // recent trouble.
 type breakerSet struct {
 	mu        sync.Mutex
-	m         map[leaseKey]*breaker
+	m         map[classKey]*breaker
 	threshold int           // consecutive bad outcomes that trip
 	cooldown  time.Duration // open → half-open delay
 	now       func() time.Time
@@ -108,7 +120,7 @@ type breakerSet struct {
 
 func newBreakerSet(threshold int, cooldown time.Duration) *breakerSet {
 	return &breakerSet{
-		m:         make(map[leaseKey]*breaker),
+		m:         make(map[classKey]*breaker),
 		threshold: threshold,
 		cooldown:  cooldown,
 		now:       time.Now,
@@ -120,7 +132,7 @@ func newBreakerSet(threshold int, cooldown time.Duration) *breakerSet {
 // refusal returns a nil ticket and the Retry-After hint in whole
 // seconds: the remaining cooldown for an open breaker, one second while
 // a half-open probe is already in flight.
-func (bs *breakerSet) admit(key leaseKey) (tok *breakerTicket, retryAfterSecs int) {
+func (bs *breakerSet) admit(key classKey) (tok *breakerTicket, retryAfterSecs int) {
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
 	b := bs.m[key]

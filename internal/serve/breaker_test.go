@@ -16,7 +16,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	bs := newBreakerSet(3, 5*time.Second)
 	clock := time.Unix(1000, 0)
 	bs.now = func() time.Time { return clock }
-	key := leaseKey{floorplan: "fp", mapping: "m", solver: "cg", resolution: "coarse"}
+	key := classKey{floorplan: "fp", mapping: "m", solver: "cg", resolution: "coarse"}
 
 	// Below the threshold the breaker stays closed.
 	for i := 0; i < 2; i++ {
@@ -93,15 +93,15 @@ func TestBreakerStateMachine(t *testing.T) {
 }
 
 // TestBreakerProbeNeverLeaks: a probe settled neutrally (the solve never
-// ran — admission refusal, lease failure, client cancellation) releases
-// the half-open slot so the next caller becomes the probe. Before the
-// ticket API an unsettled probe wedged the key in probing state forever,
-// refusing every request with 503 until restart.
+// ran — admission refusal, session-build failure, client cancellation)
+// releases the half-open slot so the next caller becomes the probe. Before
+// the ticket API an unsettled probe wedged the key in probing state
+// forever, refusing every request with 503 until restart.
 func TestBreakerProbeNeverLeaks(t *testing.T) {
 	bs := newBreakerSet(1, 5*time.Second)
 	clock := time.Unix(1000, 0)
 	bs.now = func() time.Time { return clock }
-	key := leaseKey{floorplan: "fp", mapping: "m", solver: "cg", resolution: "coarse"}
+	key := classKey{floorplan: "fp", mapping: "m", solver: "cg", resolution: "coarse"}
 
 	tok, _ := bs.admit(key)
 	bs.settle(tok, outcomeBad) // threshold 1: trips immediately
@@ -145,7 +145,7 @@ func TestBreakerIgnoresStaleOutcomes(t *testing.T) {
 	bs := newBreakerSet(2, 5*time.Second)
 	clock := time.Unix(1000, 0)
 	bs.now = func() time.Time { return clock }
-	key := leaseKey{floorplan: "fp", mapping: "m", solver: "cg", resolution: "coarse"}
+	key := classKey{floorplan: "fp", mapping: "m", solver: "cg", resolution: "coarse"}
 
 	// A slow solve admitted while the breaker is still closed…
 	stale, _ := bs.admit(key)

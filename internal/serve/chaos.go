@@ -10,7 +10,7 @@ import (
 // ChaosConfig arms deterministic infrastructure-fault injection inside a
 // Server — the service-layer extension of the internal/faults idea: where
 // a faults.Scenario derates pumps and condensers, chaos derates the
-// *service* (latency, panics, sabotaged solvers, poisoned leases). Every
+// *service* (latency, panics, sabotaged solvers, failed solves). Every
 // decision is drawn from one seeded PRNG, so a chaos run replays the
 // same fault sequence for the same seed; the chaos test leans on that to
 // assert invariants (bounded error rates, byte-deterministic successes,
@@ -33,11 +33,8 @@ type ChaosConfig struct {
 	// escalation ladder rescues the solve, and the breaker sees the storm.
 	SabotageRate float64
 	// FailRate is the probability a steady solve fails outright with an
-	// injected solver error (counted by the breaker, lease evicted).
+	// injected solver error (counted by the breaker).
 	FailRate float64
-	// PoisonRate is the probability a *successful* steady solve releases
-	// its lease poisoned, forcing the next request on the key to rebuild.
-	PoisonRate float64
 }
 
 // errChaosFail is the injected hard solver failure.

@@ -16,13 +16,13 @@ import (
 )
 
 // TestChaosHarness is the service-layer chaos drill: with every injector
-// armed (latency, handler panics, solver sabotage, hard solve failures,
-// lease poisoning) a storm of concurrent proposals must uphold the
-// service invariants — successful bodies stay byte-deterministic per
-// proposal, refusals stay structured (only known status codes, panics
-// recovered and counted), a blade streamed through the storm lands at
-// the exact simulated time, and the drain + checkpoint + restore cycle
-// completes without leaking a goroutine.
+// armed (latency, handler panics, solver sabotage, hard solve failures)
+// a storm of concurrent proposals must uphold the service invariants —
+// successful bodies stay byte-deterministic per proposal, refusals stay
+// structured (only known status codes, panics recovered and counted), a
+// blade streamed through the storm lands at the exact simulated time, and
+// the drain + checkpoint + restore cycle completes without leaking a
+// goroutine.
 func TestChaosHarness(t *testing.T) {
 	old := debugLogWriter
 	debugLogWriter = io.Discard
@@ -42,7 +42,6 @@ func TestChaosHarness(t *testing.T) {
 		PanicRate:    0.1,
 		SabotageRate: 0.15,
 		FailRate:     0.1,
-		PoisonRate:   0.2,
 	})
 
 	client := NewClient(7)

@@ -203,7 +203,7 @@ func (s *Server) restoreBlade(cb *checkpointBlade) error {
 	if err != nil {
 		return err
 	}
-	sys, ses, err := s.buildLease(p.lease)
+	sys, ses, err := s.newSession(p.class)
 	if err != nil {
 		return err
 	}

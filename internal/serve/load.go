@@ -72,7 +72,7 @@ type LoadReport struct {
 
 // loadKey builds the i-th proposal of the pool: the benchmark cycles
 // through the PARSEC catalog and the coolant temperature steps per key, so
-// distinct keys are distinct solves (different lease, different memo line).
+// distinct keys are distinct solves (different memo line).
 func loadKey(i int, cfg LoadConfig) SteadyRequest {
 	names := workload.All()
 	return SteadyRequest{

@@ -6,16 +6,8 @@
 // millisecond, while a cold miss pays the full system build + coupled
 // solve.
 //
-// The subsystem has four moving parts:
+// The subsystem has three moving parts:
 //
-//   - A session-lease manager (lease.go): a sharded LRU cache of warm
-//     cosim.Sessions keyed by (floorplan, mapping, solver, resolution,
-//     fault). Leases serialize solves per session (sessions are not
-//     concurrency-safe), reuse is counted, and eviction/drain close the
-//     session through the idempotent Session.Close contract. Solve
-//     failures evict the lease — the PR 8 warm-start-invalidation rule
-//     lifted to the cache: a poisoned session never serves another
-//     request.
 //   - A response memo (memo.go) with single-flight misses (flight.go): an
 //     LRU of canonical proposal → response body bytes. Identical proposals
 //     return byte-identical bodies across cache hit/miss and across
@@ -28,15 +20,13 @@
 //     instead of piling up.
 //   - Graceful drain: BeginDrain flips every endpoint to 503, in-flight
 //     requests finish (http.Server.Shutdown's contract), then Close
-//     retires every cached session and registered transient blade.
+//     retires every registered transient blade.
 //
-// Determinism contract: with the warm-start carry disabled (the default),
-// every solve seeds exactly like a fresh-session solve, so a recomputed
-// response — after memo eviction, on another session, on a fresh server —
-// is byte-identical to the first. Config.CarryWarmStart trades that
-// cross-request reproducibility for ~300× warm re-solves of *nearby*
-// proposals; identical proposals stay byte-identical either way because
-// they are served from the memo.
+// Determinism contract: every miss solves on a fresh session — its own
+// system build, closed before the request returns — so a recomputed
+// response (after memo eviction, on a fresh server) is byte-identical to
+// the first, and no response depends on which proposals were solved
+// before it.
 package serve
 
 import (
@@ -74,19 +64,14 @@ type Config struct {
 	// QueueDepth bounds how many admitted requests may wait for a solve
 	// slot before new ones are refused with 429 (0 = 2×Workers).
 	QueueDepth int
-	// Sessions caps the lease cache (0 = 64 sessions).
-	Sessions int
 	// MemoEntries caps the response memo (0 = 4096 bodies).
 	MemoEntries int
 	// Transients caps concurrently registered transient blades (0 = 16).
 	Transients int
 	// MaxSteps caps the steps of one transient chunk (0 = 10000).
 	MaxSteps int
-	// CarryWarmStart enables the cross-solve warm-start carry inside each
-	// cached session. Off (the default), every solve is byte-identical to
-	// a fresh-session solve; on, nearby what-ifs on a warm session
-	// converge ~300× faster but recomputed bodies are only
-	// tolerance-identical. Identical proposals are memoized either way.
+	// Deprecated: CarryWarmStart has no effect. Every steady miss solves
+	// on its own fresh session, so there is no warm start to carry.
 	CarryWarmStart bool
 	// RequestTimeout bounds each request's solve (0 = no limit). The
 	// deadline threads through the ctx-aware solve loops, so a timed-out
@@ -119,9 +104,6 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 2 * c.Workers
 	}
-	if c.Sessions <= 0 {
-		c.Sessions = 64
-	}
 	if c.MemoEntries <= 0 {
 		c.MemoEntries = 4096
 	}
@@ -149,8 +131,13 @@ type Stats struct {
 	SteadyRequests int64 `json:"steady_requests"`
 	MemoHits       int64 `json:"memo_hits"`
 	MemoMisses     int64 `json:"memo_misses"`
-	SessionReuses  int64 `json:"session_reuses"`
-	SessionBuilds  int64 `json:"session_builds"`
+	// Deprecated: SessionReuses always reads 0; no session serves more
+	// than one request.
+	SessionReuses int64 `json:"session_reuses"`
+	// SessionBuilds counts solve sessions built: one per steady miss that
+	// got past admission.
+	SessionBuilds int64 `json:"session_builds"`
+	// Deprecated: Evictions always reads 0; there is no session cache.
 	Evictions      int64 `json:"evictions"`
 	Rejected       int64 `json:"rejected"`
 	TransientSteps int64 `json:"transient_steps"`
@@ -166,7 +153,6 @@ type Stats struct {
 	Breakers                 BreakerStats `json:"breakers"`
 	CheckpointSaves          int64        `json:"checkpoint_saves"`
 	CheckpointBladesRestored int64        `json:"checkpoint_blades_restored"`
-	Sessions                 int          `json:"sessions"`
 	Transients               int          `json:"transients"`
 	Draining                 bool         `json:"draining"`
 }
@@ -175,9 +161,7 @@ type counters struct {
 	steadyRequests atomic.Int64
 	memoHits       atomic.Int64
 	memoMisses     atomic.Int64
-	sessionReuses  atomic.Int64
 	sessionBuilds  atomic.Int64
-	evictions      atomic.Int64
 	rejected       atomic.Int64
 	transientSteps atomic.Int64
 	experimentRuns atomic.Int64
@@ -189,13 +173,11 @@ type counters struct {
 	checkpointRestored atomic.Int64
 }
 
-// Server owns the lease cache, the response memo, the transient-blade
-// registry and the admission queue. Create one with New, mount Handler on
-// an http.Server, and on shutdown call BeginDrain, then
-// http.Server.Shutdown, then Close.
+// Server owns the response memo, the transient-blade registry and the
+// admission queue. Create one with New, mount Handler on an http.Server,
+// and on shutdown call BeginDrain, then http.Server.Shutdown, then Close.
 type Server struct {
 	cfg      Config
-	leases   *leaseCache
 	memo     *memo
 	flights  *flights
 	trans    *transients
@@ -231,7 +213,6 @@ func New(cfg Config) (*Server, error) {
 		adm:      newAdmission(cfg.Workers, cfg.QueueDepth),
 		breakers: newBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown),
 	}
-	s.leases = newLeaseCache(cfg.Sessions, s.buildLease, &s.stats)
 	s.trans = newTransients(cfg.Transients)
 	fp := floorplan.BroadwellEP()
 	s.dieBlocks = make(map[string]bool, len(fp.Blocks))
@@ -310,12 +291,10 @@ func (s *Server) BeginDrain() { s.draining.Store(true) }
 // Draining reports whether BeginDrain has been called.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// Close drains (if not already draining) and retires every cached solve
-// session and registered transient blade, releasing their worker teams.
-// Close is idempotent and must run after http.Server.Shutdown has
-// returned, so no handler still holds a lease; a lease that *is* still
-// referenced is marked dead and closed by its releaser — the race the
-// idempotent Session.Close contract exists for.
+// Close drains (if not already draining) and retires every registered
+// transient blade, releasing its worker team. Steady misses close their
+// own sessions before returning, so none outlives its request. Close is
+// idempotent and must run after http.Server.Shutdown has returned.
 // A configured checkpoint path gets a final on-drain snapshot first, so
 // a graceful shutdown preserves every streaming blade for the next boot.
 func (s *Server) Close() error {
@@ -332,17 +311,14 @@ func (s *Server) Close() error {
 		_, saveErr = s.SaveCheckpoint()
 	}
 	s.trans.closeAll()
-	s.leases.closeAll()
 	return saveErr
 }
 
-// ResetCaches empties the response memo and the session cache (closing
-// the cached sessions). It exists for benchmarking and tests — cold-miss
-// latencies are unmeasurable on a warm server otherwise — and is
-// deliberately not routed as an endpoint.
+// ResetCaches empties the response memo. It exists for benchmarking and
+// tests — cold-miss latencies are unmeasurable on a warm server otherwise
+// — and is deliberately not routed as an endpoint.
 func (s *Server) ResetCaches() {
 	s.memo.reset()
-	s.leases.closeAll()
 }
 
 // Snapshot returns the current Stats.
@@ -351,9 +327,7 @@ func (s *Server) Snapshot() Stats {
 		SteadyRequests: s.stats.steadyRequests.Load(),
 		MemoHits:       s.stats.memoHits.Load(),
 		MemoMisses:     s.stats.memoMisses.Load(),
-		SessionReuses:  s.stats.sessionReuses.Load(),
 		SessionBuilds:  s.stats.sessionBuilds.Load(),
-		Evictions:      s.stats.evictions.Load(),
 		Rejected:       s.stats.rejected.Load(),
 		TransientSteps: s.stats.transientSteps.Load(),
 		ExperimentRuns: s.stats.experimentRuns.Load(),
@@ -366,7 +340,6 @@ func (s *Server) Snapshot() Stats {
 		CheckpointSaves:          s.stats.checkpointSaves.Load(),
 		CheckpointBladesRestored: s.stats.checkpointRestored.Load(),
 
-		Sessions:   s.leases.len(),
 		Transients: s.trans.len(),
 		Draining:   s.draining.Load(),
 	}

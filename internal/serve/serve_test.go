@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -283,32 +284,6 @@ func TestSteadyBackpressure(t *testing.T) {
 	}
 }
 
-func TestLeaseEviction(t *testing.T) {
-	s := newTestServer(t, Config{Sessions: 1})
-	h := s.Handler()
-	// Distinct benchmarks are distinct lease keys; push enough through a
-	// 1-per-shard cache to force evictions.
-	for _, b := range []string{"blackscholes", "bodytrack", "canneal", "dedup", "facesim",
-		"ferret", "fluidanimate", "freqmine", "raytrace", "streamcluster", "swaptions", "vips", "x264"} {
-		w := post(t, h, "/v1/steady", fmt.Sprintf(`{"benchmark":%q}`, b))
-		if w.Code != http.StatusOK {
-			t.Fatalf("%s: %d %s", b, w.Code, w.Body)
-		}
-	}
-	st := s.Snapshot()
-	if st.Evictions == 0 {
-		t.Fatal("13 distinct keys through a 1-session-per-shard cache evicted nothing")
-	}
-	if st.Sessions > leaseShardCount {
-		t.Fatalf("%d sessions cached, cap is %d", st.Sessions, leaseShardCount)
-	}
-	// Every evicted key still answers (rebuilt), and the memo still hits.
-	w := post(t, h, "/v1/steady", `{"benchmark":"blackscholes"}`)
-	if got := w.Header().Get("X-Cache"); got != "hit" {
-		t.Fatalf("memo should outlive lease eviction, got X-Cache=%q", got)
-	}
-}
-
 func TestTransientLifecycle(t *testing.T) {
 	s := newTestServer(t, Config{})
 	h := s.Handler()
@@ -505,8 +480,44 @@ func TestServerCloseIdempotent(t *testing.T) {
 			t.Fatalf("Close #%d: %v", i+1, err)
 		}
 	}
-	if got := s.leases.len(); got != 0 {
-		t.Fatalf("%d sessions survive Close", got)
+}
+
+// TestNoSessionOutlivesRequest: every steady miss closes the session it
+// built, whatever the outcome. With two threads per session each one owns
+// a worker team, so after a success, an injected solver failure and a
+// cancelled request the goroutine count must return to its baseline.
+func TestNoSessionOutlivesRequest(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, Threads: 2})
+	h := s.Handler()
+	before := runtime.NumGoroutine()
+
+	if w := post(t, h, "/v1/steady", `{"benchmark":"x264"}`); w.Code != http.StatusOK {
+		t.Fatalf("success: %d %s", w.Code, w.Body)
+	}
+	s.SetChaos(&ChaosConfig{FailRate: 1})
+	if w := post(t, h, "/v1/steady", `{"benchmark":"vips"}`); w.Code != http.StatusInternalServerError {
+		t.Fatalf("injected failure: %d, want 500 (%s)", w.Code, w.Body)
+	}
+	s.SetChaos(nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodPost, "/v1/steady",
+		strings.NewReader(`{"benchmark":"canneal"}`)).WithContext(ctx)
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, req)
+	if w.Code != 499 {
+		t.Fatalf("cancelled: %d, want 499 (%s)", w.Code, w.Body)
+	}
+	if st := s.Snapshot(); st.SessionBuilds != 3 || st.MemoMisses != 1 {
+		t.Fatalf("want 3 sessions built for 1 memoized miss: %+v", st)
+	}
+
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutine leak: %d before, %d after three misses", before, runtime.NumGoroutine())
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -114,7 +114,7 @@ type SteadyResponse struct {
 type steadyProposal struct {
 	req      SteadyRequest // canonical form
 	key      string        // canonical JSON — the memo key
-	lease    leaseKey
+	class    classKey
 	st       power.PackageState
 	bp       map[string]float64
 	op       thermosyphon.Operating
@@ -237,7 +237,7 @@ func (s *Server) normalizeSteady(req SteadyRequest) (*steadyProposal, error) {
 		mappingKey = "power=" + string(b)
 	}
 
-	p.lease = leaseKey{
+	p.class = classKey{
 		floorplan:  "broadwell-ep",
 		mapping:    mappingKey,
 		solver:     req.Solver,
@@ -253,11 +253,11 @@ func (s *Server) normalizeSteady(req SteadyRequest) (*steadyProposal, error) {
 	return p, nil
 }
 
-// buildLease is the lease cache's session factory: a fresh system with
-// the key's (possibly fault-derated) design and a session configured with
-// the key's solver, the budget's team width, and the server's warm-carry
-// mode.
-func (s *Server) buildLease(key leaseKey) (*cosim.System, *cosim.Session, error) {
+// newSession builds a fresh system with the class's (possibly
+// fault-derated) design and a session configured with the class's solver
+// and the budget's team width. Every steady miss and every transient
+// blade owns the session it gets here; the caller closes it.
+func (s *Server) newSession(key classKey) (*cosim.System, *cosim.Session, error) {
 	res, err := experiments.ParseResolution(key.resolution)
 	if err != nil {
 		return nil, nil, err
@@ -275,10 +275,7 @@ func (s *Server) buildLease(key leaseKey) (*cosim.System, *cosim.Session, error)
 	if err != nil {
 		return nil, nil, err
 	}
-	opts := []cosim.SessionOption{
-		cosim.WithSolver(solver),
-		cosim.CarryWarmStart(s.cfg.CarryWarmStart),
-	}
+	opts := []cosim.SessionOption{cosim.WithSolver(solver)}
 	if s.cfg.Threads > 1 {
 		opts = append(opts, cosim.WithThreads(s.cfg.Threads))
 	}
@@ -295,36 +292,35 @@ func (p *steadyProposal) operatingFor() thermosyphon.Operating {
 	return op
 }
 
-// solveSteady runs one proposal on a leased session (the lease's lock
-// must be held) and renders the response.
-func (s *Server) solveSteady(ctx context.Context, l *lease, p *steadyProposal) (*SteadyResponse, error) {
+// solveSteady runs one proposal on the request's own session and
+// renders the response.
+func (s *Server) solveSteady(ctx context.Context, sys *cosim.System, ses *cosim.Session, p *steadyProposal) (*SteadyResponse, error) {
 	op := p.operatingFor()
-	escBefore := len(l.ses.Escalations())
 	var (
 		res *cosim.Result
 		err error
 	)
 	if p.bp != nil {
-		res, err = l.ses.SolveSteadyPower(ctx, p.bp, op)
+		res, err = ses.SolveSteadyPower(ctx, p.bp, op)
 	} else {
-		res, err = l.ses.SolveSteady(ctx, p.st, op)
+		res, err = ses.SolveSteady(ctx, p.st, op)
 	}
 	if err != nil {
 		return nil, err
 	}
-	die, err := l.sys.DieStats(res)
+	die, err := sys.DieStats(res)
 	if err != nil {
 		return nil, err
 	}
-	pkg, err := l.sys.PackageStats(res)
+	pkg, err := sys.PackageStats(res)
 	if err != nil {
 		return nil, err
 	}
-	blocks, err := l.sys.BlockTemps(res)
+	blocks, err := sys.BlockTemps(res)
 	if err != nil {
 		return nil, err
 	}
-	tcase := l.sys.TCase(res)
+	tcase := sys.TCase(res)
 	budget, err := chiller.Assess(op.WaterFlowKgH, op.WaterInC, res.Syphon.Condenser.WaterOutC, ambientC)
 	if err != nil {
 		return nil, err
@@ -343,7 +339,7 @@ func (s *Server) solveSteady(ctx context.Context, l *lease, p *steadyProposal) (
 		TCaseC:      tcase,
 		TotalPowerW: res.TotalPowerW,
 		Iterations:  res.Iterations,
-		Escalations: len(l.ses.Escalations()) - escBefore,
+		Escalations: len(ses.Escalations()),
 		DryoutCells: res.Syphon.DryoutCells,
 		Feasible:    tcase <= sched.TCaseMax && res.Syphon.DryoutCells == 0,
 		Cooling: SteadyCooling{
@@ -365,7 +361,7 @@ func (s *Server) solveSteady(ctx context.Context, l *lease, p *steadyProposal) (
 
 // handleSteady is POST /v1/steady: memo hit → stored bytes; miss →
 // single-flight per proposal (duplicates wait for the leader's outcome
-// instead of competing for admission), admission, lease, solve under the
+// instead of competing for admission), admission, solve under the
 // request deadline, memoize, reply.
 func (s *Server) handleSteady(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
@@ -420,13 +416,14 @@ func (s *Server) handleSteady(w http.ResponseWriter, r *http.Request) {
 }
 
 // solveProposal runs the miss path end to end — breaker, admission,
-// lease, solve (with any armed chaos applied), memoize — and returns the
-// response body, or a non-zero HTTP status with a message and an
-// optional Retry-After hint in seconds.
+// session build, solve (with any armed chaos applied), memoize — and
+// returns the response body, or a non-zero HTTP status with a message and
+// an optional Retry-After hint in seconds. The session is private to the
+// request and closed before it returns.
 func (s *Server) solveProposal(ctx context.Context, p *steadyProposal) ([]byte, int, string, int) {
 	// The circuit breaker sits before admission: a tripped proposal class
 	// must not consume solve slots other classes could use.
-	tok, ra := s.breakers.admit(p.lease)
+	tok, ra := s.breakers.admit(p.class)
 	if tok == nil {
 		return nil, http.StatusServiceUnavailable,
 			"circuit breaker open for this proposal class; retry after the cooldown", ra
@@ -434,7 +431,7 @@ func (s *Server) solveProposal(ctx context.Context, p *steadyProposal) ([]byte, 
 	// Every exit path below must settle the ticket, or a half-open probe
 	// slot would leak and wedge the class; the default neutral outcome
 	// covers the paths where the solver never got a say (admission or
-	// lease failure, client cancellation).
+	// session-build failure, client cancellation).
 	outcome := outcomeNeutral
 	defer func() { s.breakers.settle(tok, outcome) }()
 	release, err := s.adm.acquire(ctx)
@@ -448,25 +445,21 @@ func (s *Server) solveProposal(ctx context.Context, p *steadyProposal) ([]byte, 
 	s.stats.inFlight.Add(1)
 	defer s.stats.inFlight.Add(-1)
 
-	l, err := s.leases.acquire(p.lease)
+	sys, ses, err := s.newSession(p.class)
 	if err != nil {
 		return nil, http.StatusInternalServerError, err.Error(), 0
 	}
+	defer ses.Close()
+	s.stats.sessionBuilds.Add(1)
 	c := s.loadChaos()
-	sabotage := c != nil && c.roll(c.cfg.SabotageRate)
-	failInject := c != nil && c.roll(c.cfg.FailRate)
-	l.mu.Lock()
-	var resp *SteadyResponse
-	if sabotage {
-		l.ses.InjectMGFault(true)
+	if c != nil && c.roll(c.cfg.SabotageRate) {
+		ses.InjectMGFault(true)
 	}
-	if failInject {
+	var resp *SteadyResponse
+	if c != nil && c.roll(c.cfg.FailRate) {
 		err = errChaosFail
 	} else {
-		resp, err = s.solveSteady(ctx, l, p)
-	}
-	if sabotage {
-		l.ses.InjectMGFault(false)
+		resp, err = s.solveSteady(ctx, sys, ses, p)
 	}
 	// The breaker counts hard solver failures and escalation-ladder
 	// rescues as bad; client cancellations and deadlines are not the
@@ -482,16 +475,9 @@ func (s *Server) solveProposal(ctx context.Context, p *steadyProposal) ([]byte, 
 		outcome = outcomeBad
 	}
 	if err != nil {
-		l.mu.Unlock()
-		// A failed solve poisons the lease: evict it so no later request
-		// inherits the session (its warm carry is already invalidated by
-		// the session itself, the cache eviction is belt and braces).
-		s.leases.release(l, true)
 		return nil, solveStatus(err), solveMsg(err), 0
 	}
 	body, err := canonicalJSON(resp)
-	l.mu.Unlock()
-	s.leases.release(l, c != nil && c.roll(c.cfg.PoisonRate))
 	if err != nil {
 		return nil, http.StatusInternalServerError, err.Error(), 0
 	}

@@ -246,7 +246,7 @@ func (s *Server) handleTransientRegister(w http.ResponseWriter, r *http.Request)
 	}
 	defer release()
 
-	sys, ses, err := s.buildLease(p.lease)
+	sys, ses, err := s.newSession(p.class)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return

@@ -34,7 +34,7 @@ func TestNextRung(t *testing.T) {
 }
 
 // TestInjectedMGFaultEscalatesToCG: with the MG preconditioner
-// NaN-poisoned, a mgpcg steady solve must take the ladder's one rung
+// NaN-corrupted, a mgpcg steady solve must take the ladder's one rung
 // (mgpcg → cg), succeed on the terminal Jacobi-CG rung, and agree with a
 // direct Jacobi-CG solve.
 func TestInjectedMGFaultEscalatesToCG(t *testing.T) {
@@ -53,7 +53,7 @@ func TestInjectedMGFaultEscalatesToCG(t *testing.T) {
 	w.InjectMGFault(true)
 	got := w.FieldA()
 	if err := w.SteadySolveInto(got, nil, power, bc); err != nil {
-		t.Fatalf("ladder did not rescue the poisoned solve: %v", err)
+		t.Fatalf("ladder did not rescue the corrupted solve: %v", err)
 	}
 
 	esc := w.Escalations()
@@ -80,7 +80,7 @@ func TestInjectedMGFaultEscalatesToCG(t *testing.T) {
 	}
 }
 
-// TestEscalationTransientRestoresSeed: a poisoned transient step must
+// TestEscalationTransientRestoresSeed: a corrupted transient step must
 // retry from the previous-step field (not ambient) and land byte-identical
 // to a direct Jacobi-CG step.
 func TestEscalationTransientRestoresSeed(t *testing.T) {
@@ -109,7 +109,7 @@ func TestEscalationTransientRestoresSeed(t *testing.T) {
 	got := step(w)
 
 	if len(w.Escalations()) == 0 {
-		t.Fatal("poisoned transient step never escalated")
+		t.Fatal("corrupted transient step never escalated")
 	}
 	for i := range ref.T {
 		if got.T[i] != ref.T[i] {
@@ -150,7 +150,7 @@ func TestEscalationByteIdenticalAcrossThreads(t *testing.T) {
 	}
 }
 
-// TestEscalationDisabled: with the ladder off, the poisoned solve must
+// TestEscalationDisabled: with the ladder off, the corrupted solve must
 // surface its diagnostic SolveError unchanged.
 func TestEscalationDisabled(t *testing.T) {
 	m, power, bc := escalationFixture(t)
@@ -161,7 +161,7 @@ func TestEscalationDisabled(t *testing.T) {
 	f := w.FieldA()
 	err := w.SteadySolveInto(f, nil, power, bc)
 	if err == nil {
-		t.Fatal("poisoned solve succeeded with the ladder disabled")
+		t.Fatal("corrupted solve succeeded with the ladder disabled")
 	}
 	if !errors.Is(err, linalg.ErrNotConverged) {
 		t.Fatalf("error %v does not unwrap to ErrNotConverged", err)

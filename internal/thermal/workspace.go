@@ -52,7 +52,7 @@ type Workspace struct {
 
 	// Escalation-ladder state: noEscalate disables the ladder (zero value
 	// = enabled); esc accumulates the descents taken; seed snapshots the
-	// transient warm start so a retry can discard the poisoned iterate;
+	// transient warm start so a retry can discard the corrupted iterate;
 	// ctx, when set, is observed between ladder rungs; poisonMG arms the
 	// fault-injection wrapper around multigrid preconditioners.
 	noEscalate bool
@@ -196,13 +196,13 @@ func (p *poisonPrecond) ApplyCost() int {
 }
 
 // reseedMode tells a ladder retry how to rebuild the initial iterate after
-// discarding the failed rung's (possibly NaN-poisoned) one.
+// discarding the failed rung's (possibly NaN-corrupted) one.
 type reseedMode int
 
 const (
 	// reseedAmbient refills the iterate with the ambient temperature — the
 	// cold start of a steady solve, deliberately ignoring any warm-start
-	// seed (the seed itself may be what poisoned the first rung).
+	// seed (the seed itself may be what corrupted the first rung).
 	reseedAmbient reseedMode = iota
 	// reseedSeed restores the snapshot taken before the first rung — the
 	// previous-step field a transient step must integrate from.
@@ -225,7 +225,7 @@ func (w *Workspace) Escalations() []Escalation {
 }
 
 // InjectMGFault arms (or disarms) the fault-injection hook: while armed,
-// the V-cycle preconditioner is wrapped so its output is NaN-poisoned,
+// the V-cycle preconditioner is wrapped so its output is NaN-corrupted,
 // forcing the mgpcg rung of the escalation ladder to fail and the solve
 // to degrade to the terminal Jacobi-CG rung. Test/demo knob for
 // proving the ladder works; it never changes the converged answer, only
@@ -474,7 +474,7 @@ func (w *Workspace) StepTransientLayersInto(dst, prev *Field, dt float64, layers
 	if w.canEscalate() {
 		// Snapshot the previous-step field (dst may alias prev, so it must
 		// be taken before CG mutates the iterate): a ladder retry restores
-		// it instead of integrating from a poisoned iterate.
+		// it instead of integrating from a corrupted iterate.
 		if cap(w.seed) < m.n {
 			w.seed = make(linalg.Vector, m.n)
 		}

@@ -19,10 +19,9 @@
 # a fraction of the triad ceiling — so a baseline reads as "kernel X at
 # Y% of this host's memory bandwidth" instead of a bare ns/op. Since
 # BENCH_8 the set also covers the thermservd service layer
-# (internal/serve): the memo-hit / warm-session / cold-miss steady
-# tiers, and the deterministic open-loop load runs whose ReportMetric
-# columns (p50_ms, p99_ms, qps, hit_rate) are the service-level latency
-# table. CI runs this script on every push and archives BENCH_8.json as
+# (internal/serve): the memo-hit vs cold miss steady tiers, and the
+# deterministic open-loop load runs whose ReportMetric columns (p50_ms,
+# p99_ms, qps, hit_rate) are the service-level latency table. CI runs this script on every push and archives BENCH_8.json as
 # a build artifact so future PRs can diff against a baseline instead of
 # eyeballing benchmark logs.
 set -euo pipefail
